@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +55,7 @@ from .oracle import (
     verify_zero_temperature,
 )
 from .seeding import derive_seed, make_rng
-from .tokenlm import SamplingParams, TokenSeq, ToyLM, lm_from_json
+from .tokenlm import SamplingParams, TokenSeq, ToyLM, draw, lm_from_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -182,27 +183,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _sample_table(lm: ToyLM, draws: list[TokenSeq]) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    for s in draws:
-        key = _render_seq(lm, s)
-        counts[key] = counts.get(key, 0) + 1
-    n = len(draws)
-    return {k: c / n for k, c in sorted(counts.items())}
-
-
-def _draw_from_table(d: DistTable, u: float) -> TokenSeq:
-    acc = 0.0
-    last = None
-    for seq, p in sorted(d.entries.items(), key=lambda kv: kv[0].ids):
-        if p <= 0.0:
-            continue
-        acc += p
-        last = seq
-        if acc > u:
-            return seq
-    if last is None:
-        raise ModelError("cannot draw from an empty table")
-    return last
+    counts = Counter(_render_seq(lm, s) for s in draws)
+    return {k: c / len(draws) for k, c in sorted(counts.items())}
 
 
 def cmd_counterfactual(args: argparse.Namespace) -> int:
@@ -256,8 +238,10 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
         draws = [simple_cf_sample(lm, q, cfg.params, derive_seed(cfg.seed, i)) for i in range(n)]
     elif cfg.method == "stable":
         dist = stable_cf_dist(lm, CfQuery(x, y, x_star), cfg.params, cap)
+        outcomes = sorted(dist.entries, key=lambda seq: seq.ids)
+        probs = [dist.entries[seq] for seq in outcomes]
         rng = make_rng(cfg.seed)
-        draws = [_draw_from_table(dist, rng.random()) for _ in range(n)]
+        draws = [outcomes[draw(probs, rng.random())] for _ in range(n)]
     else:
         trace: FactualTrace | None = None
         if cfg.trace_path is not None:
@@ -381,12 +365,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         gumbel_draws.append(gumbel_cf_sample(lm, t, x_star, params))
         t2 = its_posterior_noise(lm, x, y, params, derive_seed(args.seed, n + i))
         its_draws.append(its_cf_sample(lm, t2, x_star, params))
-    tables["gumbel"] = DistTable.from_counts(
-        {s: gumbel_draws.count(s) for s in set(gumbel_draws)}
-    )
-    exactness["gumbel"] = f"empirical (n={n})"
-    tables["its"] = DistTable.from_counts({s: its_draws.count(s) for s in set(its_draws)})
-    exactness["its"] = f"empirical (n={n})"
+    for name, draws in (("gumbel", gumbel_draws), ("its", its_draws)):
+        # keyed in set order, which fixes the order of the tvd sums below
+        counts = Counter(draws)
+        tables[name] = DistTable.from_counts({s: counts[s] for s in set(draws)})
+        exactness[name] = f"empirical (n={n})"
 
     names = ("simple", "gumbel", "its", "stable")
     pairwise = {

@@ -288,6 +288,9 @@ class BoundsResult:
     def __post_init__(self) -> None:
         if not (-1e-12 <= self.lo <= self.hi <= 1.0 + 1e-12):
             raise ModelError(f"invalid bounds [{self.lo}, {self.hi}]")
+        # rounding slack inside the tolerance is not part of the answer
+        object.__setattr__(self, "lo", min(max(self.lo, 0.0), 1.0))
+        object.__setattr__(self, "hi", min(max(self.hi, 0.0), 1.0))
 
     def to_dict(self) -> dict:
         return {

@@ -30,7 +30,16 @@ from .dist import DistTable
 from .errors import EnumerationCapError, InputError, ModelError, StableDistUndefinedError
 from .nondet import DEFAULT_ENUM_CAP
 from .seeding import make_rng
-from .tokenlm import SamplingParams, TokenSeq, ToyLM, next_pairs, sample_output, seq_dist
+from .tokenlm import (
+    SamplingParams,
+    TokenSeq,
+    ToyLM,
+    argmax,
+    draw,
+    output_seq,
+    sample_output,
+    seq_dist,
+)
 
 _UNIFORM_FLOOR = 1e-300
 _UNIFORM_CEIL = 1.0 - 1e-16
@@ -152,30 +161,16 @@ def _require_aligned(lm: ToyLM, x: TokenSeq, x_star: TokenSeq) -> int:
     return l
 
 
+def _zero_probability(lm: ToyLM, pos: int, token_id: int) -> ModelError:
+    return ModelError(
+        f"observed output has zero probability at position {pos} "
+        f"(token {lm.vocab.tokens[token_id]!r})"
+    )
+
+
 def _std_gumbel(u: float) -> float:
     u = min(max(u, _UNIFORM_FLOOR), _UNIFORM_CEIL)
     return -math.log(-math.log(u))
-
-
-def _gumbel_argmax(
-    pairs: Sequence[tuple[str, float]], gumbels: Sequence[float]
-) -> tuple[int, str]:
-    best_i, best_score = -1, -math.inf
-    for i, (t, p) in enumerate(pairs):
-        if p <= 0.0:
-            continue
-        score = math.log(p) + gumbels[i]
-        if score > best_score:
-            best_i, best_score = i, score
-    if best_i < 0:
-        raise ModelError("cannot take an argmax over an all-zero distribution")
-    return best_i, pairs[best_i][0]
-
-
-def _factual_contexts(lm: ToyLM, y: TokenSeq) -> list[tuple[str, ...]]:
-    """Padded-output prefixes: contexts y[:0], y[:1], ..., y[:k-1]."""
-    tokens = lm.vocab.strings(y.padded(lm.k))
-    return [tokens[:i] for i in range(lm.k)]
 
 
 # --- gumbel ------------------------------------------------------------------
@@ -197,17 +192,18 @@ def gumbel_factual_run(
         raise InputError("top_k/top_p break noise-reuse stability; pass allow_truncation=True")
     rng = make_rng(seed)
     l = _require_prompt(lm, x)
+    row, size = lm.step_law(params).row, lm.vocab.size
+    ctx = x.ids[:l]
     entries: list[tuple[float, ...]] = []
-    ctx = lm.vocab.strings(x.stripped())
     for pos in range(1, lm.k + 1):
-        g = tuple(_std_gumbel(rng.random()) for _ in range(lm.vocab.size))
+        g = tuple(_std_gumbel(rng.random()) for _ in range(size))
         entries.append(g)
-        if pos <= l:
-            continue
-        # once EMPTY lands in the context, the point-mass row keeps it EMPTY
-        _, tok = _gumbel_argmax(next_pairs(lm, ctx, params), g)
-        ctx = ctx + (tok,)
-    y = lm.vocab.seq(_truncate_at_empty(lm, ctx)).padded(lm.k)
+        # the context stops growing at EMPTY; every position still draws noise
+        if pos > l and len(ctx) == pos - 1:
+            t = argmax(row(ctx), g)
+            if t:
+                ctx += (t,)
+    y = output_seq(ctx, lm.k)
     trace = FactualTrace(x.stripped(), y, NoiseRecord("gumbel", tuple(entries)), params)
     return y, trace
 
@@ -234,26 +230,23 @@ def gumbel_posterior_noise(
     yp = y.padded(lm.k)
     if not yp.extends(x):
         raise InputError("observed output must extend the prompt")
-    tokens = lm.vocab.strings(yp)
-    contexts = _factual_contexts(lm, yp)
+    ids = yp.ids
+    row, size = lm.step_law(params).row, lm.vocab.size
     entries: list[tuple[float, ...]] = []
     for pos in range(1, lm.k + 1):
         if pos <= l:
-            entries.append(tuple(_std_gumbel(rng.random()) for _ in range(lm.vocab.size)))
+            entries.append(tuple(_std_gumbel(rng.random()) for _ in range(size)))
             continue
-        pairs = next_pairs(lm, contexts[pos - 1], params)
-        observed = tokens[pos - 1]
-        obs_i = lm.vocab.index(observed)
-        p_obs = pairs[obs_i][1]
+        probs = row(ids[: pos - 1])
+        obs = ids[pos - 1]
+        p_obs = probs[obs]
         if p_obs <= 0.0:
-            raise ModelError(
-                f"observed output has zero probability at position {pos} (token {observed!r})"
-            )
-        z = sum(p for _, p in pairs)
+            raise _zero_probability(lm, pos, obs)
+        z = sum(probs)
         top = _std_gumbel(rng.random()) + math.log(z)
-        noise = [0.0] * len(pairs)
-        for i, (_, p) in enumerate(pairs):
-            if i == obs_i:
+        noise = [0.0] * size
+        for i, p in enumerate(probs):
+            if i == obs:
                 noise[i] = top - math.log(p_obs)
             elif p <= 0.0:
                 noise[i] = _std_gumbel(rng.random())
@@ -284,39 +277,17 @@ def gumbel_cf_sample(
         raise InputError("trace does not carry gumbel noise")
     params = trace.params if params is None else params
     l = _require_aligned(lm, trace.x, x_star)
-    ctx = lm.vocab.strings(x_star.stripped())
-    for pos in range(l + 1, lm.k + 1):
-        g = trace.noise.entries[pos - 1]
-        _, tok = _gumbel_argmax(next_pairs(lm, ctx, params), g)
-        ctx = ctx + (tok,)
-    return lm.vocab.seq(_truncate_at_empty(lm, ctx)).padded(lm.k)
-
-
-def _truncate_at_empty(lm: ToyLM, ctx: tuple[str, ...]) -> tuple[str, ...]:
-    out: list[str] = []
-    for t in ctx:
-        if t == lm.vocab.empty:
+    row = lm.step_law(params).row
+    ctx = x_star.ids[:l]
+    for g in trace.noise.entries[l : lm.k]:
+        t = argmax(row(ctx), g)
+        if not t:
             break
-        out.append(t)
-    return tuple(out)
+        ctx += (t,)
+    return output_seq(ctx, lm.k)
 
 
 # --- inverse transform --------------------------------------------------------
-
-
-def _its_token(pairs: Sequence[tuple[str, float]], u: float) -> str:
-    acc = 0.0
-    last_positive = None
-    for t, p in pairs:
-        if p <= 0.0:
-            continue
-        acc += p
-        last_positive = t
-        if acc > u:
-            return t
-    if last_positive is None:
-        raise ModelError("cannot sample from an all-zero distribution")
-    return last_positive
 
 
 def its_factual_run(
@@ -325,16 +296,18 @@ def its_factual_run(
     """Sample an output with one uniform per position and record the uniforms."""
     rng = make_rng(seed)
     l = _require_prompt(lm, x)
-    ctx = lm.vocab.strings(x.stripped())
+    row = lm.step_law(params).row
+    ctx = x.ids[:l]
     entries: list[float] = []
     for pos in range(1, lm.k + 1):
         u = rng.random()
         entries.append(u)
-        if pos <= l:
-            continue
-        tok = _its_token(next_pairs(lm, ctx, params), u)
-        ctx = ctx + (tok,)
-    y = lm.vocab.seq(_truncate_at_empty(lm, ctx)).padded(lm.k)
+        # the context stops growing at EMPTY; every position still draws noise
+        if pos > l and len(ctx) == pos - 1:
+            t = draw(row(ctx), u)
+            if t:
+                ctx += (t,)
+    y = output_seq(ctx, lm.k)
     trace = FactualTrace(x.stripped(), y, NoiseRecord("uniform", tuple(entries)), params)
     return y, trace
 
@@ -352,28 +325,19 @@ def its_posterior_noise(
     yp = y.padded(lm.k)
     if not yp.extends(x):
         raise InputError("observed output must extend the prompt")
-    tokens = lm.vocab.strings(yp)
-    contexts = _factual_contexts(lm, yp)
+    ids = yp.ids
+    row = lm.step_law(params).row
     entries: list[float] = []
     for pos in range(1, lm.k + 1):
         if pos <= l:
             entries.append(rng.random())
             continue
-        pairs = next_pairs(lm, contexts[pos - 1], params)
-        observed = tokens[pos - 1]
-        lo = 0.0
-        width = 0.0
-        for t, p in pairs:
-            if p <= 0.0:
-                continue
-            if t == observed:
-                width = p
-                break
-            lo += p
+        probs = row(ids[: pos - 1])
+        obs = ids[pos - 1]
+        width = probs[obs]
         if width <= 0.0:
-            raise ModelError(
-                f"observed output has zero probability at position {pos} (token {observed!r})"
-            )
+            raise _zero_probability(lm, pos, obs)
+        lo = sum(p for p in probs[:obs] if p > 0.0)
         u = lo + rng.random() * width
         if u >= lo + width:  # float round-up would spill into the next token
             u = math.nextafter(lo + width, lo)
@@ -392,12 +356,14 @@ def its_cf_sample(
         raise InputError("trace does not carry uniform noise")
     params = trace.params if params is None else params
     l = _require_aligned(lm, trace.x, x_star)
-    ctx = lm.vocab.strings(x_star.stripped())
-    for pos in range(l + 1, lm.k + 1):
-        u = trace.noise.entries[pos - 1]
-        tok = _its_token(next_pairs(lm, ctx, params), u)
-        ctx = ctx + (tok,)
-    return lm.vocab.seq(_truncate_at_empty(lm, ctx)).padded(lm.k)
+    row = lm.step_law(params).row
+    ctx = x_star.ids[:l]
+    for u in trace.noise.entries[l : lm.k]:
+        t = draw(row(ctx), u)
+        if not t:
+            break
+        ctx += (t,)
+    return output_seq(ctx, lm.k)
 
 
 # --- counterfactually stable distribution -------------------------------------
@@ -416,6 +382,36 @@ def _ratio(p_cf: float, p_factual: float) -> float:
     return p_cf / p_factual
 
 
+def _barred(factual: Sequence[float], cf: Sequence[float], obs: int) -> set[int]:
+    """Indices whose relative gain does not beat the observed index's."""
+    r_obs = _ratio(cf[obs], factual[obs])
+    return {t for t, pc in enumerate(cf) if t != obs and r_obs >= _ratio(pc, factual[t])}
+
+
+def _stable_step(
+    factual: Sequence[float], cf: Sequence[float], obs: int
+) -> list[tuple[int, float]]:
+    """The counterfactual row restricted to the unbarred indices, renormalized."""
+    barred = _barred(factual, cf, obs)
+    kept = [(t, p) for t, p in enumerate(cf) if p > 0.0 and t not in barred]
+    mass = sum(p for _, p in kept)
+    if mass <= 0.0:
+        raise StableDistUndefinedError(
+            f"no probability mass left after excluding indices {sorted(barred)!r}"
+        )
+    return [(t, p / mass) for t, p in kept]
+
+
+def _as_rows(
+    factual: Sequence[tuple[str, float]], cf: Sequence[tuple[str, float]], factual_token: str
+) -> tuple[list[str], list[float], list[float], int]:
+    """(token, p) pairs as two rows over cf's tokens and the observed one."""
+    probs_f, probs_c = dict(factual), dict(cf)
+    tokens = list(dict.fromkeys([*probs_c, factual_token]))
+    rows = [[probs.get(t, 0.0) for t in tokens] for probs in (probs_f, probs_c)]
+    return tokens, rows[0], rows[1], tokens.index(factual_token)
+
+
 def excluded_tokens(
     factual: Sequence[tuple[str, float]],
     cf: Sequence[tuple[str, float]],
@@ -423,16 +419,8 @@ def excluded_tokens(
 ) -> frozenset[str]:
     """Tokens barred at one position: those whose relative gain does not beat
     the observed token's."""
-    probs_f = dict(factual)
-    probs_c = dict(cf)
-    r_obs = _ratio(probs_c.get(factual_token, 0.0), probs_f.get(factual_token, 0.0))
-    out = set()
-    for t, pc in probs_c.items():
-        if t == factual_token:
-            continue
-        if r_obs >= _ratio(pc, probs_f.get(t, 0.0)):
-            out.add(t)
-    return frozenset(out)
+    tokens, f, c, obs = _as_rows(factual, cf, factual_token)
+    return frozenset(tokens[t] for t in _barred(f, c, obs))
 
 
 def stable_step_dist(
@@ -442,14 +430,8 @@ def stable_step_dist(
 ) -> DistTable:
     """One position of the closeness-biased semantics: restrict the
     counterfactual law to the non-excluded tokens and renormalize."""
-    barred = excluded_tokens(factual, cf, factual_token)
-    kept = {t: p for t, p in cf if p > 0.0 and t not in barred}
-    mass = sum(kept.values())
-    if mass <= 0.0:
-        raise StableDistUndefinedError(
-            f"no probability mass left after excluding {sorted(barred)!r}"
-        )
-    return DistTable({t: p / mass for t, p in kept.items()})
+    tokens, f, c, obs = _as_rows(factual, cf, factual_token)
+    return DistTable({tokens[t]: p for t, p in _stable_step(f, c, obs)})
 
 
 def stable_cf_dist(
@@ -460,38 +442,40 @@ def stable_cf_dist(
 ) -> DistTable:
     """Exact closeness-biased counterfactual distribution over padded outputs.
 
-    Chains ``stable_step_dist`` over positions: the factual side of each
+    Chains the one-position step over positions: the factual side of each
     ratio is pinned to the observed output's prefix, while the
     counterfactual prefix is built recursively along each branch. The
     output always extends x*; with x* = x it collapses to a point mass on y.
     """
     l = _require_aligned(lm, q.x, q.x_star)
-    yp = q.y.padded(lm.k)
-    y_tokens = lm.vocab.strings(yp)
-    factual_ctxs = _factual_contexts(lm, yp)
-    factual_pairs = [next_pairs(lm, c, params) for c in factual_ctxs]
-    for pos in range(l + 1, lm.k + 1):
-        if dict(factual_pairs[pos - 1]).get(y_tokens[pos - 1], 0.0) <= 0.0:
+    k = lm.k
+    y = q.y.padded(k).ids
+    row = lm.step_law(params).row
+    factual = [row(y[:i]) for i in range(k)]
+    for pos in range(l + 1, k + 1):
+        if factual[pos - 1][y[pos - 1]] <= 0.0:
             raise ModelError(
                 f"factual output has zero probability at position {pos} under these params"
             )
 
     entries: dict[TokenSeq, float] = {}
-    if lm.vocab.size ** (lm.k - l) > cap:
+    if lm.vocab.size ** (k - l) > cap:
         raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
 
-    def recurse(ctx: tuple[str, ...], pos: int, prob: float) -> None:
-        if pos > lm.k or (ctx and ctx[-1] == lm.vocab.empty):
-            seq = lm.vocab.seq(_truncate_at_empty(lm, ctx)).padded(lm.k)
-            entries[seq] = entries.get(seq, 0.0) + prob
+    def recurse(ctx: tuple[int, ...], prob: float) -> None:
+        pos = len(ctx) + 1
+        if pos > k:
+            entries[TokenSeq(ctx)] = prob
             return
-        cf_pairs = next_pairs(lm, _truncate_at_empty(lm, ctx), params)
-        step = stable_step_dist(factual_pairs[pos - 1], cf_pairs, y_tokens[pos - 1])
-        for t, p in step.items():
-            if p > 0.0:
-                recurse(ctx + (t,), pos + 1, prob * p)
+        for t, p in _stable_step(factual[pos - 1], row(ctx), y[pos - 1]):
+            if p <= 0.0:
+                continue
+            if t:
+                recurse(ctx + (t,), prob * p)
+            else:
+                entries[output_seq(ctx, k)] = prob * p
 
-    recurse(lm.vocab.strings(q.x_star.stripped()), l + 1, 1.0)
+    recurse(q.x_star.ids[:l], 1.0)
     return DistTable(entries)
 
 
@@ -504,27 +488,21 @@ def stability_check(
     """Flag, per generated position, whether the candidate output picked a
     token the closeness-biased semantics would have excluded."""
     l = _require_aligned(lm, q.x, q.x_star)
-    yp = q.y.padded(lm.k)
     ysp = y_star.padded(lm.k)
     if not ysp.extends(q.x_star):
         raise InputError("candidate output must extend the counterfactual prompt")
-    y_tokens = lm.vocab.strings(yp)
-    ys_tokens = lm.vocab.strings(ysp)
-    factual_ctxs = _factual_contexts(lm, yp)
-    cf_ctxs = _factual_contexts(lm, ysp)
+    y, ys = q.y.padded(lm.k).ids, ysp.ids
+    row, tokens = lm.step_law(params).row, lm.vocab.tokens
     checks: list[PositionCheck] = []
     violations = 0
     for pos in range(l + 1, lm.k + 1):
-        f_pairs = next_pairs(lm, factual_ctxs[pos - 1], params)
-        c_pairs = next_pairs(lm, cf_ctxs[pos - 1], params)
-        barred = excluded_tokens(f_pairs, c_pairs, y_tokens[pos - 1])
-        chosen = ys_tokens[pos - 1]
+        barred = _barred(row(y[: pos - 1]), row(ys[: pos - 1]), y[pos - 1])
+        chosen = ys[pos - 1]
         bad = chosen in barred
         if bad:
             violations += 1
-        checks.append(
-            PositionCheck(pos, y_tokens[pos - 1], chosen, tuple(sorted(barred)), bad)
-        )
+        excluded = tuple(sorted(tokens[t] for t in barred))
+        checks.append(PositionCheck(pos, tokens[y[pos - 1]], tokens[chosen], excluded, bad))
     return StabilityReport(tuple(checks), violations, len(checks))
 
 

@@ -56,6 +56,7 @@ from .tokenlm import (
     ToyLM,
     Vocab,
     compile_to_nondet,
+    draw,
     seq_dist,
     zero_temp_fn,
 )
@@ -168,17 +169,8 @@ def random_world(rng: random.Random, m: NondetModel, r: World) -> World:
         if name in assignment:
             continue
         row = m.cpts[name].row(tuple(assignment[p] for p in m.cpts[name].parent_order))
-        u = rng.random()
-        acc = 0.0
-        chosen = None
-        for val, p in row.items():
-            if p <= 0.0:
-                continue
-            acc += p
-            chosen = val
-            if acc > u:
-                break
-        assignment[name] = chosen
+        values, probs = zip(*row.items())
+        assignment[name] = values[draw(probs, rng.random())]
     return World.of(assignment)
 
 

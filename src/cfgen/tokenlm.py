@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .dist import DistTable
@@ -90,10 +90,7 @@ class TokenSeq:
 
     @property
     def effective_len(self) -> int:
-        for pos, i in enumerate(self.ids):
-            if i == 0:
-                return pos
-        return len(self.ids)
+        return self.ids.index(0) if 0 in self.ids else len(self.ids)
 
     def stripped(self) -> "TokenSeq":
         return TokenSeq(self.ids[: self.effective_len])
@@ -105,9 +102,8 @@ class TokenSeq:
         return TokenSeq(body + (0,) * (k - len(body)))
 
     def extends(self, prefix: "TokenSeq") -> bool:
-        mine = self.stripped().ids
-        theirs = prefix.stripped().ids
-        return mine[: len(theirs)] == theirs
+        theirs = prefix.ids[: prefix.effective_len]
+        return self.ids[: self.effective_len][: len(theirs)] == theirs
 
     @property
     def has_empty(self) -> bool:
@@ -122,7 +118,8 @@ class SamplingParams:
     """User-side reshaping knobs: temperature, top-k, top-p.
 
     Temperature 0 means exact argmax mode (lowest-index tie-break), handled
-    as its own branch rather than a small-temperature limit.
+    as its own branch rather than a small-temperature limit. A positive
+    temperature must be finite with a finite reciprocal.
     """
 
     temperature: float = 1.0
@@ -130,8 +127,12 @@ class SamplingParams:
     top_p: float | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.temperature):
+            raise InputError(f"temperature must be finite, got {self.temperature!r}")
         if self.temperature < 0.0:
             raise InputError("temperature must be nonnegative")
+        if self.temperature > 0.0 and math.isinf(1.0 / self.temperature):
+            raise InputError(f"temperature {self.temperature!r} is too small: 1/T overflows")
         if self.top_k is not None and self.top_k < 1:
             raise InputError("top_k must be a positive integer")
         if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
@@ -148,7 +149,9 @@ class ToyLM:
 
     ``kind`` is "table" (context tuple -> distribution, total over every
     reachable EMPTY-free context of length < k) or "bigram" (last token ->
-    distribution, with ``unigram`` covering the empty context).
+    distribution, with ``unigram`` covering the empty context). Each
+    instance holds one memoized ``StepLaw`` per ``SamplingParams`` it was
+    asked for; they are freed with the model.
     """
 
     vocab: Vocab
@@ -157,6 +160,7 @@ class ToyLM:
     table: Mapping[tuple[str, ...], DistTable] | None = None
     bigram: Mapping[str, DistTable] | None = None
     unigram: DistTable | None = None
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -172,38 +176,70 @@ class ToyLM:
         if self.bigram is not None:
             object.__setattr__(self, "bigram", dict(self.bigram))
 
-    def base_dist(self, context: tuple[str, ...]) -> DistTable:
-        """Unshaped next-token distribution; EMPTY contexts absorb."""
-        if self.vocab.empty in context:
-            return DistTable.point(self.vocab.empty)
-        if self.kind == "table":
-            row = self.table.get(context)
+    def step_law(self, params: SamplingParams) -> "StepLaw":
+        """The reshaped step law under ``params``, built once per params value."""
+        law = self._laws.get(params)
+        if law is None:
+            law = self._laws[params] = StepLaw(self, params)
+        return law
+
+
+class StepLaw:
+    """Reshaped next-token rows of one model under one ``SamplingParams``.
+
+    ``row(ctx)`` maps a context of token ids to the probability of every
+    token in vocabulary order. Rows of EMPTY-free contexts are memoized by
+    id tuple, probabilities only; contexts holding EMPTY absorb into one
+    shared point-mass row that is not stored.
+    """
+
+    __slots__ = ("params", "_tokens", "_kind", "_table", "_bigram", "_unigram", "_point", "_rows")
+
+    def __init__(self, lm: ToyLM, params: SamplingParams) -> None:
+        # copies what the rows need: holding ``lm`` would make a reference
+        # cycle that keeps dropped models alive until the next collection
+        self.params = params
+        self._tokens = lm.vocab.tokens
+        self._kind, self._table, self._bigram, self._unigram = (
+            lm.kind, lm.table, lm.bigram, lm.unigram
+        )
+        self._point = (1.0,) + (0.0,) * (len(self._tokens) - 1)
+        self._rows: dict[tuple[int, ...], tuple[float, ...]] = {}
+
+    def row(self, ctx: tuple[int, ...]) -> tuple[float, ...]:
+        probs = self._rows.get(ctx)
+        if probs is None:
+            if 0 in ctx:
+                return self._point
+            base = self._base(tuple(self._tokens[i] for i in ctx))
+            probs = _reshape([base.prob(t) for t in self._tokens], self.params)
+            self._rows[ctx] = probs
+        return probs
+
+    def _base(self, context: tuple[str, ...]) -> DistTable:
+        """The model's own row for an EMPTY-free context."""
+        if self._kind == "table":
+            row = self._table.get(context)
             if row is None:
                 raise ModelError(f"no distribution for context {context!r}")
             return row
         if context:
-            row = self.bigram.get(context[-1])
+            row = self._bigram.get(context[-1])
             if row is None:
                 raise ModelError(f"no bigram row for token {context[-1]!r}")
             return row
-        return self.unigram
-
-    def seq_from_tokens(self, tokens: Iterable[str]) -> TokenSeq:
-        return self.vocab.seq(tokens)
+        return self._unigram
 
 
-def _reshape_pairs(
-    base: DistTable, order: Sequence[str], params: SamplingParams
-) -> list[tuple[str, float]]:
+def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
     """Apply temperature, top-k, top-p in that order; each stage renormalizes.
 
-    Returns (token, probability) pairs in vocabulary order, zeros included.
+    Takes and returns probabilities in vocabulary order, zeros included.
     """
-    probs = [base.prob(t) for t in order]
-
+    n = len(probs)
     if params.temperature == 0.0:
-        best = max(range(len(order)), key=lambda i: (probs[i], -i))
-        return [(t, 1.0 if i == best else 0.0) for i, t in enumerate(order)]
+        best = max(range(n), key=lambda i: (probs[i], -i))
+        return tuple(1.0 if i == best else 0.0 for i in range(n))
     if params.temperature != 1.0:
         # p^(1/T) renormalized, in log space so tiny temperatures do not underflow
         inv = 1.0 / params.temperature
@@ -214,7 +250,7 @@ def _reshape_pairs(
         probs = [p / z for p in probs]
 
     if params.top_k is not None:
-        ranked = sorted(range(len(order)), key=lambda i: (-probs[i], i))
+        ranked = sorted(range(n), key=lambda i: (-probs[i], i))
         keep = set(ranked[: params.top_k])
         probs = [p if i in keep else 0.0 for i, p in enumerate(probs)]
         z = sum(probs)
@@ -223,7 +259,7 @@ def _reshape_pairs(
         probs = [p / z for p in probs]
 
     if params.top_p is not None:
-        ranked = sorted(range(len(order)), key=lambda i: (-probs[i], i))
+        ranked = sorted(range(n), key=lambda i: (-probs[i], i))
         keep: set[int] = set()
         acc = 0.0
         for i in ranked:
@@ -239,17 +275,47 @@ def _reshape_pairs(
             raise ModelError("top-p removed all probability mass")
         probs = [p / z for p in probs]
 
-    return list(zip(order, probs))
+    return tuple(probs)
+
+
+def draw(probs: Sequence[float], u: float) -> int:
+    """Inverse-CDF draw: the first index whose running sum of the positive
+    entries exceeds ``u``, or the last positive index if none does."""
+    acc = 0.0
+    last = -1
+    for i, p in enumerate(probs):
+        if p <= 0.0:
+            continue
+        acc += p
+        last = i
+        if acc > u:
+            return i
+    if last < 0:
+        raise ModelError("cannot draw from an all-zero distribution")
+    return last
+
+
+def argmax(probs: Sequence[float], gumbels: Sequence[float]) -> int:
+    """Perturbed argmax: the index maximizing log p + g over the positive
+    entries, the lowest index on ties."""
+    best, best_score = -1, -math.inf
+    for i, p in enumerate(probs):
+        if p <= 0.0:
+            continue
+        score = math.log(p) + gumbels[i]
+        if score > best_score:
+            best, best_score = i, score
+    if best < 0:
+        raise ModelError("cannot take an argmax over an all-zero distribution")
+    return best
 
 
 def next_pairs(
     lm: ToyLM, context: tuple[str, ...], params: SamplingParams
 ) -> list[tuple[str, float]]:
-    """Reshaped next-token probabilities in vocabulary order (fast path)."""
-    base = lm.base_dist(context)
-    if lm.vocab.empty in context:
-        return [(t, 1.0 if t == lm.vocab.empty else 0.0) for t in lm.vocab.tokens]
-    return _reshape_pairs(base, lm.vocab.tokens, params)
+    """Reshaped next-token probabilities in vocabulary order, keyed by token."""
+    ids = tuple(lm.vocab.index(t) for t in context)
+    return list(zip(lm.vocab.tokens, lm.step_law(params).row(ids)))
 
 
 def next_dist(lm: ToyLM, context: TokenSeq, params: SamplingParams) -> DistTable:
@@ -260,47 +326,44 @@ def next_dist(lm: ToyLM, context: TokenSeq, params: SamplingParams) -> DistTable
     """
     if len(context.ids) >= lm.k:
         raise InputError(f"context length {len(context.ids)} >= k={lm.k}")
-    ctx = lm.vocab.strings(context)
-    return DistTable({t: p for t, p in next_pairs(lm, ctx, params)})
+    return DistTable(dict(zip(lm.vocab.tokens, lm.step_law(params).row(context.ids))))
 
 
-def _draw(pairs: Sequence[tuple[str, float]], u: float) -> str:
-    """First token (vocabulary order) whose cumulative probability exceeds u."""
-    acc = 0.0
-    last_positive = None
-    for t, p in pairs:
-        if p <= 0.0:
-            continue
-        acc += p
-        last_positive = t
-        if acc > u:
-            return t
-    if last_positive is None:
-        raise ModelError("cannot draw from an all-zero distribution")
-    return last_positive
+def _prompt_ids(lm: ToyLM, x: TokenSeq) -> tuple[int, ...]:
+    ids = x.ids[: x.effective_len]
+    if len(ids) > lm.k:
+        raise InputError(f"prompt longer than k={lm.k}")
+    return ids
+
+
+def output_seq(ids: tuple[int, ...], k: int) -> TokenSeq:
+    """Output text ends at the first EMPTY; pad it to length k."""
+    if 0 in ids:
+        ids = ids[: ids.index(0)]
+    return TokenSeq(ids + (0,) * (k - len(ids)))
 
 
 def seq_dist(
     lm: ToyLM, x: TokenSeq, params: SamplingParams, cap: int = DEFAULT_ENUM_CAP
 ) -> DistTable:
     """Exact distribution over padded length-k outputs extending prompt ``x``."""
-    prompt = lm.vocab.strings(x.stripped())
-    if len(prompt) > lm.k:
-        raise InputError(f"prompt longer than k={lm.k}")
+    prompt = _prompt_ids(lm, x)
     if lm.vocab.size ** (lm.k - len(prompt)) > cap:
         raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
+    row, k = lm.step_law(params).row, lm.k
     entries: dict[TokenSeq, float] = {}
 
-    def recurse(ctx: tuple[str, ...], prob: float) -> None:
-        if len(ctx) == lm.k:
-            entries[lm.vocab.seq(ctx).padded(lm.k)] = prob
+    def recurse(ctx: tuple[int, ...], prob: float) -> None:
+        if len(ctx) == k:
+            entries[TokenSeq(ctx)] = prob
             return
-        if ctx and ctx[-1] == lm.vocab.empty:
-            entries[lm.vocab.seq(ctx[:-1]).padded(lm.k)] = prob
-            return
-        for t, p in next_pairs(lm, ctx, params):
-            if p > 0.0:
+        for t, p in enumerate(row(ctx)):
+            if p <= 0.0:
+                continue
+            if t:
                 recurse(ctx + (t,), prob * p)
+            else:
+                entries[output_seq(ctx, k)] = prob * p
 
     recurse(prompt, 1.0)
     return DistTable(entries)
@@ -309,30 +372,20 @@ def seq_dist(
 def sample_output(lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int) -> TokenSeq:
     """One autoregressive draw; a pure function of (model, prompt, params, seed)."""
     rng = make_rng(seed)
-    ctx = lm.vocab.strings(x.stripped())
-    if len(ctx) > lm.k:
-        raise InputError(f"prompt longer than k={lm.k}")
+    ctx = _prompt_ids(lm, x)
+    row = lm.step_law(params).row
     while len(ctx) < lm.k:
-        t = _draw(next_pairs(lm, ctx, params), rng.random())
-        if t == lm.vocab.empty:
+        t = draw(row(ctx), rng.random())
+        if not t:
             break
-        ctx = ctx + (t,)
-    return lm.vocab.seq(ctx).padded(lm.k)
+        ctx += (t,)
+    return output_seq(ctx, lm.k)
 
 
 def zero_temp_fn(lm: ToyLM, x: TokenSeq) -> TokenSeq:
     """Greedy completion: argmax at every step, lowest vocabulary index on ties."""
-    greedy = SamplingParams(temperature=0.0)
-    ctx = lm.vocab.strings(x.stripped())
-    if len(ctx) > lm.k:
-        raise InputError(f"prompt longer than k={lm.k}")
-    while len(ctx) < lm.k:
-        pairs = next_pairs(lm, ctx, greedy)
-        t = max(pairs, key=lambda tp: tp[1])[0]
-        if t == lm.vocab.empty:
-            break
-        ctx = ctx + (t,)
-    return lm.vocab.seq(ctx).padded(lm.k)
+    # every greedy row is a point mass, so any seed draws the same output
+    return sample_output(lm, x, SamplingParams(temperature=0.0), 0)
 
 
 def compile_to_nondet(
@@ -351,45 +404,46 @@ def compile_to_nondet(
     l = prompt_len
     if not (0 <= l < lm.k):
         raise InputError(f"prompt length {l} must satisfy 0 <= l < k={lm.k}")
-    n_prompts = len(lm.vocab.real_tokens) ** l
-    n_rows = sum(lm.vocab.size ** (i - 1) for i in range(l + 1, lm.k + 1))
-    n_rows += lm.vocab.size**lm.k
+    size, tokens = lm.vocab.size, lm.vocab.tokens
+    n_prompts = (size - 1) ** l
+    n_rows = sum(size ** (i - 1) for i in range(l + 1, lm.k + 1))
+    n_rows += size**lm.k
     if n_prompts > cap or n_rows > cap:
         raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
 
-    prompts = tuple(
-        lm.vocab.seq(combo)
-        for combo in itertools.product(lm.vocab.real_tokens, repeat=l)
-    )
+    prompts = tuple(TokenSeq(ids) for ids in itertools.product(range(1, size), repeat=l))
     t_names = tuple(f"T{i}" for i in range(1, lm.k + 1))
     vars_: list[VarSpec] = [VarSpec("X", prompts)]
-    vars_ += [VarSpec(name, lm.vocab.tokens) for name in t_names]
-    y_domain = tuple(TokenSeq(ids) for ids in _valid_padded_id_tuples(lm.vocab.size, lm.k))
+    vars_ += [VarSpec(name, tokens) for name in t_names]
+    y_domain = tuple(TokenSeq(ids) for ids in _valid_padded_id_tuples(size, lm.k))
     vars_ += [VarSpec("Y", y_domain)]
 
+    def strings(ids: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(tokens[i] for i in ids)
+
+    row = lm.step_law(params).row
     edges: set[tuple[str, str]] = set()
     cpts: dict[str, Cpt] = {}
     for i, name in enumerate(t_names, start=1):
         if i <= l:
             edges.add(("X", name))
-            rows = {
-                (prompt,): DistTable.point(lm.vocab.tokens[prompt.ids[i - 1]])
-                for prompt in prompts
-            }
+            rows = {(prompt,): DistTable.point(tokens[prompt.ids[i - 1]]) for prompt in prompts}
             cpts[name] = Cpt(name, ("X",), rows)
         else:
             parent_order = t_names[: i - 1]
             for p in parent_order:
                 edges.add((p, name))
-            rows = {}
-            for combo in itertools.product(lm.vocab.tokens, repeat=i - 1):
-                rows[combo] = DistTable(dict(next_pairs(lm, combo, params)))
+            rows = {
+                strings(ids): DistTable(dict(zip(tokens, row(ids))))
+                for ids in itertools.product(range(size), repeat=i - 1)
+            }
             cpts[name] = Cpt(name, parent_order, rows)
     for p in t_names:
         edges.add((p, "Y"))
-    y_rows: dict[tuple, DistTable] = {}
-    for combo in itertools.product(lm.vocab.tokens, repeat=lm.k):
-        y_rows[combo] = DistTable.point(_concat_padded(lm, combo))
+    y_rows = {
+        strings(ids): DistTable.point(output_seq(ids, lm.k))
+        for ids in itertools.product(range(size), repeat=lm.k)
+    }
     cpts["Y"] = Cpt("Y", t_names, y_rows)
 
     graph = CausalGraph.of([v.name for v in vars_], edges)
@@ -403,17 +457,6 @@ def _valid_padded_id_tuples(vocab_size: int, k: int) -> list[tuple[int, ...]]:
         for body in itertools.product(range(1, vocab_size), repeat=body_len):
             out.append(body + (0,) * (k - body_len))
     return out
-
-
-def _concat_padded(lm: ToyLM, combo: tuple[str, ...]) -> TokenSeq:
-    """Decode a raw position tuple: text ends at the first EMPTY."""
-    ids: list[int] = []
-    for t in combo:
-        i = lm.vocab.index(t)
-        if i == 0:
-            break
-        ids.append(i)
-    return TokenSeq(tuple(ids)).padded(lm.k)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -372,6 +372,30 @@ class TestCounterfactual:
         assert all("\t" in ln for ln in lines)
 
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "1e-320"])
+    def test_unusable_temperature_is_config_error(self, capsys, fixture_dir, temperature):
+        code, out, err = run(
+            [
+                "counterfactual",
+                "--model",
+                str(fixture_dir / "lm3.json"),
+                "--prompt",
+                "a",
+                "--cf-prompt",
+                "b",
+                "--method",
+                "simple",
+                "--exact",
+                "--temperature",
+                temperature,
+            ],
+            capsys,
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error (config): temperature") and err.count("\n") == 1
+
+
 class TestErrorCodeMapping:
     def test_each_error_class_has_its_own_exit_code(self, capsys, monkeypatch):
         # route each package error through main's handler via a stub command
@@ -402,6 +426,17 @@ class TestBounds:
         assert payload["lo"] == 0.0 and payload["hi"] == 1.0
         assert payload["resampling_answer_within_bounds"] is True
         assert payload["positivity"]["arg_lo"] == "boundary (non-positive)"
+
+    @pytest.mark.parametrize(
+        "query", ["Y*=0|Y=0,X=0,X*=1", "Y*=1|Y=0,X=0,X*=1", "Y*=1|Y=0,X=1,X*=0"]
+    )
+    def test_bounds_are_clamped_to_the_unit_interval(self, capsys, query):
+        # unclamped, these print -1.586e-15, 1.0000000000000016 and 1.0000000000000002
+        code, out, _ = run(["bounds", "--p", "0.07", "--q", "0.93", "--query", query], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert 0.0 <= payload["lo"] <= payload["hi"] <= 1.0
+        assert payload["resampling_answer_within_bounds"] is True
 
     def test_invalid_pq(self, capsys):
         code, _, err = run(

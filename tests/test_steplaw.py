@@ -1,0 +1,153 @@
+"""The memoized step law and the two step primitives.
+
+- ``draw`` and ``argmax`` follow the conventions every sampler relies on:
+  zeros are skipped, sums run in vocabulary order, ties go to the lowest
+  index.
+- A model whose memo was filled under other params and prompts answers
+  exactly as a fresh one does, bit for bit.
+- The memo stores probabilities only, sharing the model's own floats at
+  identity params, and never keeps a dropped model alive: reference
+  counting alone frees it.
+"""
+
+from __future__ import annotations
+
+import gc
+import math
+import weakref
+
+import pytest
+
+from cfgen.errors import InputError, ModelError
+from cfgen.fixtures import asymmetric_lm, lm3_model
+from cfgen.generators import (
+    CfQuery,
+    gumbel_cf_sample,
+    gumbel_posterior_noise,
+    its_cf_sample,
+    its_posterior_noise,
+    stability_check,
+    stable_cf_dist,
+)
+from cfgen.oracle import random_table_lm
+from cfgen.seeding import make_rng
+from cfgen.tokenlm import SamplingParams, argmax, draw, sample_output, seq_dist
+
+PARAMS = (
+    SamplingParams(),
+    SamplingParams(temperature=0.5),
+    SamplingParams(top_k=2),
+    SamplingParams(temperature=2.0, top_p=0.8),
+)
+
+
+class TestPrimitives:
+    def test_draw_skips_zeros_and_sums_in_order(self):
+        probs = (0.0, 0.25, 0.0, 0.75)
+        assert draw(probs, 0.0) == 1
+        assert draw(probs, 0.2499) == 1
+        assert draw(probs, 0.25) == 3
+        assert draw(probs, 0.999) == 3
+
+    def test_draw_falls_back_to_the_last_positive_entry(self):
+        assert draw((0.5, 0.5, 0.0), 1.0) == 1
+
+    def test_draw_rejects_an_all_zero_row(self):
+        with pytest.raises(ModelError):
+            draw((0.0, 0.0), 0.5)
+
+    def test_argmax_ignores_zero_entries_and_breaks_ties_low(self):
+        assert argmax((0.0, 0.5, 0.5), (100.0, 0.0, 0.0)) == 1
+        assert argmax((0.25, 0.75), (math.log(3.0), 0.0)) == 0
+
+    def test_argmax_rejects_an_all_zero_row(self):
+        with pytest.raises(ModelError):
+            argmax((0.0, 0.0), (0.0, 0.0))
+
+
+class TestSamplingParams:
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, 1e-320, 5e-324])
+    def test_rejects_unusable_temperatures(self, temperature):
+        with pytest.raises(InputError, match="temperature"):
+            SamplingParams(temperature)
+
+    def test_smallest_usable_temperature_is_accepted(self):
+        assert SamplingParams(1e-300).temperature == 1e-300
+
+    def test_equal_params_share_one_law(self):
+        lm = lm3_model()
+        assert lm.step_law(SamplingParams(1)) is lm.step_law(SamplingParams(1.0))
+        assert lm.step_law(SamplingParams()) is not lm.step_law(SamplingParams(top_k=2))
+
+
+def _answers(lm, x, x_star):
+    """Every memo-reading entry point on one model, at every params value."""
+    out = []
+    for params in PARAMS:
+        out.append(seq_dist(lm, x_star, params).entries)
+        for y in sorted(seq_dist(lm, x, params).support, key=lambda s: s.ids):
+            q = CfQuery(x, y, x_star)
+            out.append(stable_cf_dist(lm, q, params).entries)
+            for seed in range(3):
+                out.append(sample_output(lm, x_star, params, seed))
+                out.append(its_cf_sample(lm, its_posterior_noise(lm, x, y, params, seed), x_star))
+                if not params.truncates:
+                    trace = gumbel_posterior_noise(lm, x, y, params, seed)
+                    y_star = gumbel_cf_sample(lm, trace, x_star)
+                    out.append((trace.noise, y_star))
+                    out.append(stability_check(lm, q, y_star, params))
+    return out
+
+
+class TestMemo:
+    @pytest.mark.parametrize("make", [lm3_model, asymmetric_lm])
+    def test_warm_model_answers_like_a_fresh_one(self, make):
+        warm = make()
+        real = warm.vocab.real_tokens
+        prompts = [warm.vocab.seq([t]) for t in real]
+        # fill the memo under other params and prompts first
+        for params in (SamplingParams(temperature=3.0), SamplingParams(top_p=0.5)) + PARAMS:
+            for x in prompts:
+                seq_dist(warm, x, params)
+                sample_output(warm, x, params, 11)
+        x, x_star = prompts[0], prompts[1]
+        assert _answers(warm, x, x_star) == _answers(make(), x, x_star)
+
+    def test_random_models_agree_warm_and_fresh(self):
+        for i in range(5):
+            warm = random_table_lm(make_rng(400 + i), 4, 4)
+            fresh = random_table_lm(make_rng(400 + i), 4, 4)
+            x, x_star = warm.vocab.seq(["a"]), warm.vocab.seq(["b"])
+            for params in PARAMS:
+                seq_dist(warm, x_star, params)
+            assert _answers(warm, x, x_star) == _answers(fresh, x, x_star)
+
+    def test_rows_share_the_model_floats_at_identity_params(self):
+        lm = lm3_model()
+        row = lm.step_law(SamplingParams()).row((1,))
+        base = lm.table[("a",)]
+        assert all(p is base.entries[t] for p, t in zip(row, lm.vocab.tokens))
+
+    def test_contexts_with_empty_share_one_unstored_row(self):
+        law = lm3_model().step_law(SamplingParams())
+        assert law.row((1, 0)) is law.row((0,)) == (1.0, 0.0, 0.0)
+        assert law.row((1,)) is law.row((1,))
+        assert law._rows.keys() == {(1,)}
+
+    def test_dropped_model_is_freed_by_refcount_alone(self):
+        gc.collect()
+        gc.disable()
+        try:
+            lm = lm3_model()
+            x, x_star = lm.vocab.seq(["a"]), lm.vocab.seq(["b"])
+            y = lm.vocab.seq(["a", "b"]).padded(lm.k)
+            for params in PARAMS:
+                seq_dist(lm, x, params)
+                sample_output(lm, x, params, 0)
+            stable_cf_dist(lm, CfQuery(x, y, x_star), PARAMS[0])
+            assert len(lm._laws) == len(PARAMS)
+            ref = weakref.ref(lm)
+            del lm
+            assert ref() is None
+        finally:
+            gc.enable()
