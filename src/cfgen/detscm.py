@@ -204,9 +204,9 @@ class CanonicalBinarySCM:
         a, b, c, d = self.u_weights
         if min(a, b, c, d) < -1e-12:
             raise InputError("noise weights must be nonnegative")
-        if abs(a + b + c + d - 1.0) > 1e-9:
+        if not abs(a + b + c + d - 1.0) <= 1e-9:  # NaN-safe
             raise InputError("noise weights must sum to 1")
-        if abs((a + d) - self.p) > 1e-9 or abs((b + d) - self.q) > 1e-9:
+        if not (abs((a + d) - self.p) <= 1e-9 and abs((b + d) - self.q) <= 1e-9):
             raise InputError("weights do not reproduce the observed conditionals")
 
     @classmethod

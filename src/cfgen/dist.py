@@ -7,6 +7,7 @@ explicitly flagged) normalized to 1 within ``NORM_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Mapping
 
@@ -43,6 +44,9 @@ class DistTable:
             if p < -1e-15:
                 raise InputError(f"negative probability {p!r} for outcome {outcome!r}")
             total += p
+        # negative entries are rejected above, so this one check catches NaN and inf
+        if not math.isfinite(total):
+            raise InputError(f"probabilities sum to {total!r}, not a finite number")
         if not self.unnormalized and abs(total - 1.0) > NORM_TOL:
             raise InputError(f"probabilities sum to {total!r}, expected 1 within {NORM_TOL}")
 

@@ -9,19 +9,28 @@ Counterfactual queries clamp the roots to an alternative assignment while
 keeping what the actual world revealed: a mechanism whose parents retain
 their actual values must reproduce its actual output, and every other
 mechanism falls back to its prior table. Two independent evaluators are
-provided: ``counterfactual_dist`` routes through an explicitly updated
-model, ``counterfactual_dist_cases`` evaluates a closed-form case analysis
-world by world. The two must agree to 1e-12 everywhere; tests sweep this.
+provided: ``counterfactual_dist`` walks the evidence-updated joint, and
+``counterfactual_dist_cases`` evaluates a closed-form case analysis world by
+world. The two must agree to 1e-12 everywhere; tests sweep this.
 
-All values are immutable after construction and all operations are pure,
-so models can be shared freely across threads.
+``counterfactual_dist`` walks each model along its evaluation plan: the
+topological order, the root/non-root shape and, per variable, its table
+and its parents' positions in that order. A model builds its plan on first
+use and keeps it until it is freed. The evidence is applied as an overlay
+on that walk (the actual row of each table read as a point mass on the
+actual value), which gives exactly the walk over ``evidence_update(m, v)``
+without copying a table.
+
+All values are immutable after construction, apart from that cached plan,
+and all operations are pure. Models can be shared across threads: two
+threads that build a model's plan at once build equal plans.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .dist import DistTable
@@ -144,6 +153,13 @@ class World:
     def of(cls, assignment: Mapping[str, Hashable]) -> "World":
         return cls(tuple(assignment.items()))
 
+    @classmethod
+    def _canonical(cls, items: tuple[tuple[str, Hashable], ...]) -> "World":
+        """Trusted constructor: ``items`` are already sorted by name."""
+        world = object.__new__(cls)
+        object.__setattr__(world, "items", items)
+        return world
+
     def __getitem__(self, name: str) -> Hashable:
         for k, v in self.items:
             if k == name:
@@ -178,11 +194,15 @@ class World:
 
 @dataclass(frozen=True)
 class NondetModel:
-    """Finite nondeterministic causal model: variables, DAG, one CPT per non-root."""
+    """Finite nondeterministic causal model: variables, DAG, one CPT per non-root.
+
+    Keeps the evaluation plan (``_Plan``) its first query builds.
+    """
 
     vars: tuple[VarSpec, ...]
     graph: CausalGraph
     cpts: Mapping[str, Cpt]
+    _plan: "_Plan | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -199,17 +219,70 @@ class NondetModel:
 
     @property
     def var_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vars)
+        return _plan_of(self).var_names
 
     @property
     def roots(self) -> tuple[str, ...]:
-        root_set = self.graph.roots
-        return tuple(v.name for v in self.vars if v.name in root_set)
+        return _plan_of(self).roots
 
     @property
     def non_roots(self) -> tuple[str, ...]:
-        root_set = self.graph.roots
-        return tuple(v.name for v in self.vars if v.name not in root_set)
+        return _plan_of(self).non_roots
+
+
+class _Plan:
+    """What every query on one model reads, worked out once.
+
+    The shape (names, roots, non-roots and their sets), and one step per
+    variable in topological order: ``(name, cpt, parent positions, fault)``.
+    ``cpt`` is None at a root; ``fault`` is raised when the walk reaches a
+    step it cannot pass. ``perm`` orders the positions by name, so a walk's
+    values make a canonical ``World``. ``steps`` is None on a cycle. Holds
+    the model's tables, not the model, so there is no reference cycle.
+    """
+
+    __slots__ = (
+        "var_names", "names", "roots", "root_set", "non_roots", "steps", "sorted_names", "perm"
+    )
+
+    def __init__(self, m: NondetModel) -> None:
+        root_set = m.graph.roots
+        self.var_names = tuple(v.name for v in m.vars)
+        self.names = frozenset(self.var_names)
+        self.roots = tuple(n for n in self.var_names if n in root_set)
+        self.root_set = frozenset(self.roots)
+        self.non_roots = tuple(n for n in self.var_names if n not in root_set)
+        try:
+            order = m.graph.topological_order()
+        except ModelError:
+            self.steps = self.sorted_names = self.perm = None
+            return
+        position = {name: i for i, name in enumerate(order)}
+        steps = []
+        for i, name in enumerate(order):
+            if name in self.root_set:
+                steps.append((name, None, (), None))
+                continue
+            cpt = m.cpts.get(name)
+            if cpt is None:
+                steps.append((name, None, (), f"{name}: missing table"))
+                continue
+            parents = tuple(position.get(p, i) for p in cpt.parent_order)
+            fault = None
+            if any(j >= i for j in parents):
+                fault = f"{name}: table parents do not match graph parents"
+            steps.append((name, cpt, parents, fault))
+        self.steps = tuple(steps)
+        self.sorted_names = tuple(sorted(order))
+        self.perm = tuple(position[name] for name in self.sorted_names)
+
+
+def _plan_of(m: NondetModel) -> _Plan:
+    plan = m._plan
+    if plan is None:
+        plan = _Plan(m)
+        object.__setattr__(m, "_plan", plan)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -298,7 +371,7 @@ def validate_model(m: NondetModel) -> ValidationReport:
         for key, row in cpt.rows.items():
             if not set(row.entries) <= child_domain:
                 problems.append(f"{v.name}: row {key!r} has outcomes outside the domain")
-            if abs(row.total - 1.0) > ROW_SUM_TOL:
+            if not abs(row.total - 1.0) <= ROW_SUM_TOL:  # NaN-safe
                 problems.append(f"{v.name}: row {key!r} not normalized (sum={row.total!r})")
             elif row.is_point_mass:
                 deterministic += 1
@@ -311,16 +384,18 @@ def validate_model(m: NondetModel) -> ValidationReport:
 
 
 def _require_total(m: NondetModel, v: World) -> None:
-    if v.names != frozenset(m.var_names):
-        missing = frozenset(m.var_names) - v.names
-        extra = v.names - frozenset(m.var_names)
+    names = _plan_of(m).names
+    if v.names != names:
+        missing = names - v.names
+        extra = v.names - names
         raise InputError(f"world not total (missing {sorted(missing)}, extra {sorted(extra)})")
 
 
 def _require_roots(m: NondetModel, r: World) -> None:
-    if r.names != frozenset(m.roots):
-        raise InputError(f"expected an assignment to exactly the roots {m.roots!r}")
-    for name in m.roots:
+    plan = _plan_of(m)
+    if r.names != plan.root_set:
+        raise InputError(f"expected an assignment to exactly the roots {plan.roots!r}")
+    for name in plan.roots:
         m.var(name).index(r[name])
 
 
@@ -334,16 +409,36 @@ def joint_prob(m: NondetModel, v: World, r: World) -> float:
     _require_roots(m, r)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
+    actual = v.as_dict()
     p = 1.0
     for name in m.non_roots:
         cpt = m.cpts.get(name)
         if cpt is None:
             raise ModelError(f"{name}: missing table")
-        row = cpt.row(v.values_at(cpt.parent_order))
-        p *= row.prob(v[name])
+        row = cpt.row(tuple(actual[q] for q in cpt.parent_order))
+        p *= row.prob(actual[name])
         if p == 0.0:
             return 0.0
     return p
+
+
+# per table: (actual parent values, actual value) under the evidence
+_Observed = Mapping[str, tuple[tuple[Hashable, ...], Hashable]]
+
+
+def _observed_rows(m: NondetModel, v: World) -> _Observed:
+    """The evidence update of ``v``: per table, the actual parent values
+    and the actual value, whose row becomes a point mass on it. An error
+    when ``v`` is not total or has zero probability."""
+    _require_total(m, v)
+    r = v.restrict(m.roots)
+    if joint_prob(m, v, r) <= 0.0:
+        raise ModelError("impossible evidence: observed world has zero probability")
+    actual = v.as_dict()
+    return {
+        name: (tuple(actual[q] for q in cpt.parent_order), actual[name])
+        for name, cpt in m.cpts.items()
+    }
 
 
 def evidence_update(m: NondetModel, v: World) -> NondetModel:
@@ -353,59 +448,74 @@ def evidence_update(m: NondetModel, v: World) -> NondetModel:
     a point mass on its actual value; every other row is left untouched.
     Idempotent, and an error when ``v`` has zero probability.
     """
-    _require_total(m, v)
-    r = v.restrict(m.roots)
-    if joint_prob(m, v, r) <= 0.0:
-        raise ModelError("impossible evidence: observed world has zero probability")
     new_cpts: dict[str, Cpt] = {}
-    for name, cpt in m.cpts.items():
-        actual_pa = v.values_at(cpt.parent_order)
+    for name, (actual_pa, value) in _observed_rows(m, v).items():
+        cpt = m.cpts[name]
         rows = dict(cpt.rows)
-        rows[actual_pa] = DistTable.point(v[name])
+        rows[actual_pa] = DistTable.point(value)
         new_cpts[name] = Cpt(cpt.child, cpt.parent_order, rows)
     return NondetModel(m.vars, m.graph, new_cpts)
 
 
 def _positive_worlds(
-    m: NondetModel, clamp: World, cap: int
-) -> Iterator[tuple[World, float]]:
-    """Yield every positive-probability total world extending ``clamp``.
+    m: NondetModel,
+    clamp: World,
+    cap: int,
+    observed: _Observed | None = None,
+) -> dict[World, float]:
+    """Every positive-probability total world extending ``clamp``, with its
+    probability, in depth-first order.
 
-    Forward enumeration in topological order, branching only on values with
-    positive table probability. Raises ``EnumerationCapError`` once more
-    than ``cap`` partial assignments have been expanded.
+    Forward enumeration along the model's plan, branching only on values
+    with positive table probability. ``observed`` (from ``_observed_rows``)
+    overlays the evidence update: the walk then equals one over
+    ``evidence_update(m, v)`` without copying a table. Raises
+    ``EnumerationCapError`` once more than ``cap`` partial assignments have
+    been expanded.
     """
-    order = m.graph.topological_order()
-    roots = set(m.roots)
-    assignment: dict[str, Hashable] = {}
+    plan = _plan_of(m)
+    steps = plan.steps
+    if steps is None:
+        m.graph.topological_order()  # raises: the graph has a cycle
+    n = len(steps)
+    values: list[Hashable] = [None] * n
+    value_at = values.__getitem__
+    fixed = clamp.as_dict()
+    overlay = [observed.get(name) for name, _, _, _ in steps] if observed else [None] * n
+    sorted_names, perm = plan.sorted_names, plan.perm
+    entries: dict[World, float] = {}
     visited = 0
 
-    def recurse(i: int, prob: float) -> Iterator[tuple[World, float]]:
+    def walk(i: int, prob: float) -> None:
         nonlocal visited
-        if i == len(order):
-            yield World.of(assignment), prob
+        if i == n:
+            entries[World._canonical(tuple(zip(sorted_names, map(value_at, perm))))] = prob
             return
-        name = order[i]
         visited += 1
         if visited > cap:
             raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
-        if name in roots:
-            assignment[name] = clamp[name]
-            yield from recurse(i + 1, prob)
-            del assignment[name]
-            return
-        cpt = m.cpts.get(name)
+        name, cpt, parents, fault = steps[i]
+        if fault is not None:
+            raise ModelError(fault)
         if cpt is None:
-            raise ModelError(f"{name}: missing table")
-        row = cpt.row(tuple(assignment[p] for p in cpt.parent_order))
-        for value, p in row.items():
+            values[i] = fixed[name]
+            walk(i + 1, prob)
+            return
+        parent_values = tuple(map(value_at, parents))
+        seen = overlay[i]
+        if seen is not None and seen[0] == parent_values:
+            # the point mass of the update; prob * 1.0 is prob exactly
+            values[i] = seen[1]
+            walk(i + 1, prob)
+            return
+        for value, p in cpt.row(parent_values).items():
             if p <= 0.0:
                 continue
-            assignment[name] = value
-            yield from recurse(i + 1, prob * p)
-            del assignment[name]
+            values[i] = value
+            walk(i + 1, prob * p)
 
-    yield from recurse(0, 1.0)
+    walk(0, 1.0)
+    return entries
 
 
 def counterfactual_dist(
@@ -414,14 +524,13 @@ def counterfactual_dist(
     """Exact counterfactual distribution over total worlds, given evidence ``v``
     and the alternative root assignment ``r_star``.
 
-    Computed by evidence-updating the model and enumerating the updated
-    joint with roots clamped to ``r_star``. Support only contains worlds
-    extending ``r_star``.
+    Computed by enumerating the evidence-updated joint with roots clamped
+    to ``r_star``; the update is applied as an overlay on the model's plan
+    and equals ``evidence_update(m, v)`` walked the same way. Support only
+    contains worlds extending ``r_star``.
     """
     _require_roots(m, r_star)
-    updated = evidence_update(m, v)
-    entries = {w: p for w, p in _positive_worlds(updated, r_star, cap)}
-    return DistTable(entries)
+    return DistTable(_positive_worlds(m, r_star, cap, _observed_rows(m, v)))
 
 
 def counterfactual_case_prob(m: NondetModel, v: World, r_star: World, v_star: World) -> float:
@@ -509,7 +618,7 @@ def check_simple_semantics(
     checked = 0
     priors: dict[World, DistTable] = {}
     for r in _root_assignments(m):
-        priors[r] = DistTable(dict(_positive_worlds(m, r, cap)))
+        priors[r] = DistTable(_positive_worlds(m, r, cap))
     for r in _root_assignments(m):
         for v, _ in priors[r].items():
             for r_star in _root_assignments(m):
@@ -593,7 +702,7 @@ def model_from_json(text: str) -> NondetModel:
                 if len(probs) != len(domains[child]):
                     raise ModelError(f"{child}: row {key!r} has wrong arity")
                 total = sum(probs)
-                if abs(total - 1.0) > ROW_SUM_TOL:
+                if not abs(total - 1.0) <= ROW_SUM_TOL:  # NaN-safe
                     raise ModelError(f"{child}: row {key!r} not normalized (sum={total!r})")
                 rows[values] = DistTable(dict(zip(domains[child], probs)))
             cpts[child] = Cpt(child, parents, rows)

@@ -79,14 +79,16 @@ class TokenSeq:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
+        # one comparison per real token: sequences are short, and on them
+        # this loop is cheaper than builtin scans (min, index, count)
         seen_empty = False
         for i in self.ids:
-            if i < 0:
-                raise InputError("token ids must be nonnegative")
-            if seen_empty and i != 0:
-                raise InputError("non-EMPTY token after EMPTY: sequence not in padded form")
-            if i == 0:
+            if i <= 0:
+                if i < 0:
+                    raise InputError("token ids must be nonnegative")
                 seen_empty = True
+            elif seen_empty:
+                raise InputError("non-EMPTY token after EMPTY: sequence not in padded form")
 
     @property
     def effective_len(self) -> int:
@@ -495,7 +497,9 @@ def lm_from_json(text: str) -> ToyLM:
         if not tokens or tokens[0] != EMPTY:
             raise ModelError(f"vocabulary must reserve index 0 for {EMPTY!r}")
         vocab = Vocab(tokens)
-        k = int(payload["k"])
+        k = payload["k"]
+        if type(k) is not int:
+            raise ModelError(f"k must be a JSON integer, got {k!r}")
         kind = payload["type"]
         if kind == "table":
             table: dict[tuple[str, ...], DistTable] = {}
@@ -519,7 +523,7 @@ def _row_from_probs(vocab: Vocab, where: str, probs: list) -> DistTable:
     if len(probs) != vocab.size:
         raise ModelError(f"row {where!r} has {len(probs)} entries, expected {vocab.size}")
     total = sum(probs)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN-safe
         raise ModelError(f"row {where!r} not normalized (sum={total!r})")
     if any(p < 0 for p in probs):
         raise ModelError(f"row {where!r} has a negative probability")

@@ -396,6 +396,61 @@ class TestCounterfactual:
         assert err.startswith("error (config): temperature") and err.count("\n") == 1
 
 
+def _token_model_with(fixture_dir, tmp_path, **changes):
+    payload = json.loads((fixture_dir / "lm3.json").read_text())
+    payload.update(changes)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _exact_simple(model_path):
+    return [
+        "counterfactual", "--model", model_path, "--prompt", "a", "--cf-prompt", "b",
+        "--method", "simple", "--exact",
+    ]
+
+
+class TestRejectedModels:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_token_row(self, capsys, fixture_dir, tmp_path, bad):
+        probs = json.loads((fixture_dir / "lm3.json").read_text())["probs"]
+        probs["a b"] = [bad, 0.5, 0.5]
+        code, out, err = run(
+            _exact_simple(_token_model_with(fixture_dir, tmp_path, probs=probs)), capsys
+        )
+        assert code == EXIT_MODEL
+        assert out == ""
+        assert err.startswith("error (model): row 'a b' not normalized") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_causal_row(self, capsys, tmp_path, bad):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vars": [
+                        {"name": "X", "domain": ["0", "1"]},
+                        {"name": "Y", "domain": ["0", "1"]},
+                    ],
+                    "edges": [["X", "Y"]],
+                    "cpts": {"Y": {"parents": ["X"], "rows": {"0": [bad, 0.5], "1": [0.5, 0.5]}}},
+                }
+            )
+        )
+        code, out, err = run(["validate", "--model", str(path)], capsys)
+        assert code == EXIT_MODEL
+        assert out == ""
+        assert err.startswith("error (model): Y: row '0' not normalized") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", [1.9, "3", True, 3.0])
+    def test_non_integer_k(self, capsys, fixture_dir, tmp_path, k):
+        code, out, err = run(_exact_simple(_token_model_with(fixture_dir, tmp_path, k=k)), capsys)
+        assert code == EXIT_MODEL
+        assert out == ""
+        assert err.startswith("error (model): k must be a JSON integer") and err.count("\n") == 1
+
+
 class TestErrorCodeMapping:
     def test_each_error_class_has_its_own_exit_code(self, capsys, monkeypatch):
         # route each package error through main's handler via a stub command

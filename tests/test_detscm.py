@@ -91,6 +91,8 @@ class TestCanonicalBinary:
         with pytest.raises(InputError):
             CanonicalBinarySCM(P, Q, (0.5, 0.5, 0.0, 0.0))
         with pytest.raises(InputError):
+            CanonicalBinarySCM(P, Q, (float("nan"),) * 4)
+        with pytest.raises(InputError):
             CanonicalBinarySCM.from_free_weight(P, Q, 0.5)
 
     def test_impossible_evidence(self):

@@ -28,6 +28,13 @@ def test_rejects_unnormalized_by_default():
     DistTable({"a": 0.5, "b": 0.4}, unnormalized=True)  # explicit opt-out
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("unnormalized", [False, True])
+def test_rejects_non_finite(bad, unnormalized):
+    with pytest.raises(InputError, match="not a finite number"):
+        DistTable({"a": bad, "b": 0.5}, unnormalized=unnormalized)
+
+
 def test_support_drops_zeros():
     d = DistTable({"a": 1.0, "b": 0.0})
     assert d.support == ("a",)

@@ -57,6 +57,21 @@ class TestTokenSeq:
         with pytest.raises(InputError):
             TokenSeq((1, 0, 2))
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((-1,), "nonnegative"),
+            ((1, 0, 2), "padded form"),
+            ((0, -1), "nonnegative"),  # a negative id after EMPTY is reported as negative
+            ((1, 0, 2, -1), "padded form"),  # the earlier fault wins
+            ((-1, 0, 2), "nonnegative"),
+            ((0, 0, 3, 0), "padded form"),
+        ],
+    )
+    def test_first_fault_names_the_message(self, ids, message):
+        with pytest.raises(InputError, match=message):
+            TokenSeq(ids)
+
     def test_effective_len(self):
         assert TokenSeq((1, 2, 0)).effective_len == 2
         assert TokenSeq((1, 2)).effective_len == 2
