@@ -15,6 +15,7 @@ the default world cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -394,7 +395,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # --- wiring ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by
+    every later one in the process. argparse keeps no per-parse state on it,
+    and reads the output streams and the terminal width when it prints, not
+    when it builds."""
     parser = argparse.ArgumentParser(
         prog="cfgen",
         description="Exact counterfactual generation for toy autoregressive token models",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -253,10 +254,11 @@ def gumbel_posterior_noise(
             else:
                 u = min(max(rng.random(), _UNIFORM_FLOOR), _UNIFORM_CEIL)
                 # Gumbel(log p) truncated below `top`, then shifted back to noise
-                perturbed = math.log(p) - math.log(math.exp(math.log(p) - top) - math.log(u))
+                log_p = math.log(p)
+                perturbed = log_p - math.log(math.exp(log_p - top) - math.log(u))
                 if perturbed >= top:
                     perturbed = top - 1e-12
-                noise[i] = perturbed - math.log(p)
+                noise[i] = perturbed - log_p
         entries.append(tuple(noise))
     return FactualTrace(x.stripped(), yp, NoiseRecord("gumbel", tuple(entries)), params)
 
@@ -513,7 +515,9 @@ def stability_check(
 #
 # Token lists are unpadded strings; gumbel noise is one list of |V| floats
 # per position, uniform noise one float per position. JSON float text is the
-# shortest round-trip form, so traces reload bit-exactly.
+# shortest round-trip form, so traces reload bit-exactly. Loading checks
+# what the constructors above guarantee: finite noise, uniforms in [0, 1),
+# and noise that replays the trace's own output at its own prompt.
 
 
 def trace_to_json(lm: ToyLM, trace: FactualTrace) -> str:
@@ -531,6 +535,11 @@ def trace_to_json(lm: ToyLM, trace: FactualTrace) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _finite_number(v: object) -> bool:
+    # the bound also rejects NaN, and ints too large to become floats
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def trace_from_json(lm: ToyLM, text: str) -> FactualTrace:
     try:
         payload = json.loads(text)
@@ -539,14 +548,28 @@ def trace_from_json(lm: ToyLM, text: str) -> FactualTrace:
     try:
         x = lm.vocab.seq(payload["x"])
         y = lm.vocab.seq(payload["y"]).padded(lm.k)
-        kind = payload["kind"]
-        noise = NoiseRecord(kind, tuple(payload["noise"]))
-        if len(noise.entries) != lm.k:
-            raise InputError(f"trace has {len(noise.entries)} noise entries, expected {lm.k}")
-        if kind == "gumbel" and any(len(e) != lm.vocab.size for e in noise.entries):
-            raise InputError("gumbel noise vectors must match the vocabulary size")
+        kind, entries = payload["kind"], payload["noise"]
         pp = payload["params"]
         params = SamplingParams(pp["temperature"], pp["top_k"], pp["top_p"])
+        if kind not in ("gumbel", "uniform"):
+            raise InputError(f"unknown noise kind {kind!r}")
+        if len(entries) != lm.k:
+            raise InputError(f"trace has {len(entries)} noise entries, expected {lm.k}")
+        values = entries
+        if kind == "gumbel":
+            if any(len(e) != lm.vocab.size for e in entries):
+                raise InputError("gumbel noise vectors must match the vocabulary size")
+            values = [v for e in entries for v in e]
     except (KeyError, TypeError) as e:
         raise InputError(f"bad trace JSON structure: {e!r}") from e
-    return FactualTrace(x, y, noise, params)
+    if not all(_finite_number(v) for v in values):
+        raise InputError("trace noise must be finite numbers")
+    if kind == "uniform" and not all(0.0 <= u < 1.0 for u in values):
+        raise InputError("uniform noise must lie in [0, 1)")
+    trace = FactualTrace(x, y, NoiseRecord(kind, tuple(entries)), params)
+    replay = gumbel_cf_sample if kind == "gumbel" else its_cf_sample
+    got = replay(lm, trace, x)
+    if got != y:
+        got_s, y_s = (" ".join(lm.vocab.strings(s.stripped())) for s in (got, y))
+        raise InputError(f"trace noise replays {got_s!r} at its prompt, not its output {y_s!r}")
+    return trace

@@ -626,7 +626,9 @@ def check_simple_semantics(
                     continue
                 cf = counterfactual_dist(m, v, r_star, cap)
                 prior = priors[r_star]
-                outcomes = set(cf.entries) | set(prior.entries)
+                # a fixed order, so the reported counterexample does not
+                # depend on how World keys hash
+                outcomes = [*cf.entries, *(w for w in prior.entries if w not in cf.entries)]
                 checked += 1
                 for w in outcomes:
                     dev = abs(cf.prob(w) - prior.prob(w))

@@ -95,9 +95,13 @@ class TokenSeq:
         return self.ids.index(0) if 0 in self.ids else len(self.ids)
 
     def stripped(self) -> "TokenSeq":
-        return TokenSeq(self.ids[: self.effective_len])
+        if 0 not in self.ids:
+            return self
+        return TokenSeq(self.ids[: self.ids.index(0)])
 
     def padded(self, k: int) -> "TokenSeq":
+        if len(self.ids) == k:  # the constructor guarantees padded form
+            return self
         body = self.ids[: self.effective_len]
         if len(body) > k:
             raise InputError(f"sequence of length {len(body)} cannot pad to {k}")
@@ -135,7 +139,7 @@ class SamplingParams:
             raise InputError("temperature must be nonnegative")
         if self.temperature > 0.0 and math.isinf(1.0 / self.temperature):
             raise InputError(f"temperature {self.temperature!r} is too small: 1/T overflows")
-        if self.top_k is not None and self.top_k < 1:
+        if self.top_k is not None and (type(self.top_k) is not int or self.top_k < 1):
             raise InputError("top_k must be a positive integer")
         if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
             raise InputError("top_p must lie in (0, 1]")

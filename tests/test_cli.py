@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfgen.cli as cli
 from cfgen.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -20,14 +25,27 @@ from cfgen.errors import (
     ModelError,
     StableDistUndefinedError,
 )
-from cfgen.generators import CfQuery, simple_cf_dist
+from cfgen.generators import CfQuery, its_factual_run, simple_cf_dist, trace_to_json
 from cfgen.tokenlm import SamplingParams
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_cfgen(argv, **env):
+    """``cfgen argv`` in a new Python process."""
+    return subprocess.run(
+        [sys.executable, "-m", "cfgen.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        check=False,
+    )
 
 
 class TestValidate:
@@ -567,3 +585,98 @@ class TestCompare:
         )
         assert code == EXIT_CONFIG
         assert "factual-output" in err
+
+
+def _lm3_trace(tmp_path, fixture_dir, lm3, **changes):
+    """An its trace on lm3 at prompt "a", whose noise replays "a b b", with
+    payload fields replaced."""
+    _, trace = its_factual_run(lm3, lm3.vocab.seq(["a"]), SamplingParams(), 1)
+    payload = json.loads(trace_to_json(lm3, trace))
+    payload.update(changes)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    return [
+        "counterfactual", "--model", str(fixture_dir / "lm3.json"),
+        "--prompt", "a", "--cf-prompt", "b", "--method", "its", "--trace", str(path),
+        "--samples", "1", "--seed", "0",
+    ]
+
+
+class TestRejectedTraces:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"noise": [0.13, float("nan"), 0.76]}, "trace noise must be finite numbers"),
+            ({"noise": [2.5, 2.5, 2.5]}, "uniform noise must lie in [0, 1)"),
+            (
+                {"y": ["a", "a", "a"]},
+                "trace noise replays 'a b b' at its prompt, not its output 'a a a'",
+            ),
+        ],
+        ids=["nan_noise", "uniform_above_one", "noise_does_not_replay_y"],
+    )
+    def test_rejected_with_one_line(self, capsys, tmp_path, fixture_dir, lm3, changes, message):
+        code, out, err = run(_lm3_trace(tmp_path, fixture_dir, lm3, **changes), capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error (config): {message}\n"
+
+
+class TestInProcessReuse:
+    """Repeated in-process ``main`` calls share one parser and nothing else."""
+
+    BOUNDS = ["bounds", "--p", "0.3", "--q", "0.7", "--query", "Y*=0|Y=1,X=1,X*=0"]
+
+    def test_import_builds_no_parser(self):
+        probe = "import cfgen.cli as c; print(c._build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=True,
+        )
+        assert done.stdout == "0\n"
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (self.BOUNDS, ["verify", "--suite", "example1"], self.BOUNDS):
+            assert run(argv, capsys)[0] == EXIT_OK
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_errors_leave_nothing_for_the_next_request(self, capsys, tmp_path, fixture_dir):
+        asym = str(fixture_dir / "lm_asym.json")
+        valid = [
+            "counterfactual", "--model", asym, "--prompt", "p", "--cf-prompt", "q",
+            "--method", "gumbel", "--factual-output", "p b", "--samples", "30", "--seed", "4",
+        ]
+        alone = tmp_path / "alone.json"
+        assert fresh_cfgen([*valid, "--out", str(alone)]).returncode == EXIT_OK
+
+        with pytest.raises(SystemExit) as usage:
+            main(["counterfactual", "--model", asym, "--method", "gumbel"])
+        assert usage.value.code == 2
+        zero_probability = [
+            "counterfactual", "--model", asym, "--prompt", "p", "--cf-prompt", "q",
+            "--method", "stable", "--factual-output", "p p", "--exact",
+        ]
+        assert run(zero_probability, capsys)[0] == EXIT_MODEL
+        after = tmp_path / "after.json"
+        assert run([*valid, "--out", str(after)], capsys)[0] == EXIT_OK
+        assert after.read_bytes() == alone.read_bytes()
+
+    def test_help_matches_a_fresh_process(self, capsys, monkeypatch):
+        # build the parser at one width, then ask for help at another
+        cli._build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run(self.BOUNDS, capsys)[0] == EXIT_OK
+        monkeypatch.setenv("COLUMNS", "60")
+        with pytest.raises(SystemExit) as done:
+            main(["counterfactual", "--help"])
+        assert done.value.code == 0
+        in_process = capsys.readouterr().out
+        fresh = fresh_cfgen(["counterfactual", "--help"], COLUMNS="60")
+        assert fresh.returncode == 0
+        assert in_process == fresh.stdout
+        assert in_process != fresh_cfgen(["counterfactual", "--help"], COLUMNS="200").stdout

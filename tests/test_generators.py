@@ -14,6 +14,8 @@ Claims:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,8 +41,9 @@ from cfgen.generators import (
     trace_from_json,
     trace_to_json,
 )
-from cfgen.oracle import empirical_dist
-from cfgen.seeding import derive_seed
+from cfgen.fixtures import asymmetric_lm, lm3_model, topk_violation_lm
+from cfgen.oracle import empirical_dist, random_table_lm
+from cfgen.seeding import derive_seed, make_rng
 from cfgen.tokenlm import SamplingParams, ToyLM, Vocab, seq_dist, zero_temp_fn
 
 PARAMS = SamplingParams()
@@ -453,6 +456,66 @@ class TestTraces:
             again = trace_from_json(lm, text)
             assert again == trace
             assert trace_to_json(lm, again) == text
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        model=st.sampled_from(["lm3", "lm_asym", "lm_topk", "random"]),
+        model_seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(2, 5),
+        k=st.integers(2, 4),
+        prompt=st.integers(0, 3),
+        kind=st.sampled_from(["gumbel", "its"]),
+        posterior=st.booleans(),
+        params=st.sampled_from(
+            [PARAMS, SamplingParams(0.5), SamplingParams(0.0), SamplingParams(top_k=2),
+             SamplingParams(top_p=0.9)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_written_trace_loads_back_unchanged(
+        self, model, model_seed, vocab_size, k, prompt, kind, posterior, params, seed
+    ):
+        if model == "random":
+            lm = random_table_lm(make_rng(model_seed), vocab_size, k)
+        else:
+            lm = {"lm3": lm3_model, "lm_asym": asymmetric_lm, "lm_topk": topk_violation_lm}[model]()
+        real = lm.vocab.real_tokens
+        x = lm.vocab.seq([real[prompt % len(real)]])
+        if kind == "gumbel":
+            y, trace = gumbel_factual_run(lm, x, params, seed, allow_truncation=True)
+            if posterior:
+                trace = gumbel_posterior_noise(lm, x, y, params, seed + 1, allow_truncation=True)
+        else:
+            y, trace = its_factual_run(lm, x, params, seed)
+            if posterior:
+                trace = its_posterior_noise(lm, x, y, params, seed + 1)
+        text = trace_to_json(lm, trace)
+        again = trace_from_json(lm, text)
+        assert again == trace
+        assert trace_to_json(lm, again) == text
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"noise": [[0.1, float("inf"), 0.2]] * 3},
+            {"noise": [[0.1, "0.5", 0.2]] * 3},
+            {"noise": [[0.1, True, 0.2]] * 3},
+            {"noise": [[0.1, 10**400, 0.2]] * 3},
+            {"noise": [[0.1, 0.2]] * 3},
+            {"noise": [0.1, 0.2, 0.3]},
+            {"kind": "uniform", "noise": [0.1, -0.1, 0.3]},
+            {"kind": "uniform", "noise": [0.1, 1.0, 0.3]},
+            {"kind": "uniform", "noise": [0.1, "0.5", 0.3]},
+            {"kind": "normal"},
+            {"params": {"temperature": 1.0, "top_k": 2.5, "top_p": None}},
+            {"x": ["a", "a", "a"]},
+        ],
+    )
+    def test_rejects_malformed_noise(self, lm3, changes):
+        _, trace = gumbel_factual_run(lm3, lm3.vocab.seq(["a"]), PARAMS, 8)
+        payload = {**json.loads(trace_to_json(lm3, trace)), **changes}
+        with pytest.raises(InputError):
+            trace_from_json(lm3, json.dumps(payload))
 
     def test_rejects_wrong_arity(self, asym):
         lm, _, _ = asym
