@@ -8,13 +8,7 @@ tie them together.
 """
 
 from .dist import DistTable, max_abs_diff, tvd
-from .errors import (
-    CfgenError,
-    EnumerationCapError,
-    InputError,
-    ModelError,
-    StableDistUndefinedError,
-)
+from .errors import CfgenError, EnumerationCapError, InputError, ModelError
 from .nondet import (
     DEFAULT_ENUM_CAP,
     CausalGraph,
@@ -22,6 +16,7 @@ from .nondet import (
     NondetModel,
     ValidationReport,
     VarSpec,
+    VerificationReport,
     World,
     check_simple_semantics,
     counterfactual_case_prob,
@@ -43,7 +38,6 @@ from .detscm import (
     counterfactual_bounds_binary,
     det_conditional,
     det_counterfactual,
-    det_counterfactual_given_u,
     detscm_from_json,
     detscm_to_json,
     exogenize,
@@ -85,7 +79,6 @@ from .generators import (
     trace_to_json,
 )
 from .oracle import (
-    VerificationReport,
     empirical_dist,
     enumerate_worlds,
     random_nondet_model,

@@ -7,9 +7,8 @@ byte-identical files. Seeds are mandatory in sample mode; ambient state
 never silently influences results.
 
 Exit codes: 0 ok, 1 verification failure, 2 bad configuration or usage,
-3 bad model or impossible evidence, 4 enumeration cap exceeded,
-5 semantics undefined. The environment variable CFGEN_ENUM_CAP overrides
-the default world cap.
+3 bad model or impossible evidence, 4 enumeration cap exceeded. The
+environment variable CFGEN_ENUM_CAP overrides the default world cap.
 """
 
 from __future__ import annotations
@@ -20,22 +19,14 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from .detscm import BinaryCfQuery, counterfactual_bounds_binary, simple_binary_answer
-from .dist import DistTable, tvd
-from .errors import (
-    CfgenError,
-    EnumerationCapError,
-    InputError,
-    ModelError,
-    StableDistUndefinedError,
-)
+from .dist import DistTable, draw, tvd
+from .errors import CfgenError, EnumerationCapError, InputError, ModelError
 from .fixtures import asymmetric_lm, lm3_model, topk_violation_lm
 from .generators import (
     CfQuery,
-    FactualTrace,
     gumbel_cf_sample,
     gumbel_posterior_noise,
     its_cf_sample,
@@ -45,9 +36,8 @@ from .generators import (
     stable_cf_dist,
     trace_from_json,
 )
-from .nondet import DEFAULT_ENUM_CAP, model_from_json, validate_model
+from .nondet import DEFAULT_ENUM_CAP, VerificationReport, model_from_json, validate_model
 from .oracle import (
-    VerificationReport,
     random_table_lm,
     sweep_det_nondet_equivalence,
     verify_canonical_binary,
@@ -56,56 +46,16 @@ from .oracle import (
     verify_zero_temperature,
 )
 from .seeding import derive_seed, make_rng
-from .tokenlm import SamplingParams, TokenSeq, ToyLM, draw, lm_from_json
+from .tokenlm import SamplingParams, TokenSeq, ToyLM, lm_from_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_CAP = 4
-EXIT_UNDEFINED = 5
 
 METHODS = ("simple", "gumbel", "its", "stable")
 SUITES = ("thm1", "thm2", "corollary", "example1", "stability", "all")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options for the counterfactual command."""
-
-    model_path: str
-    prompt: str
-    cf_prompt: str
-    method: str
-    exact: bool
-    samples: int | None
-    seed: int | None
-    factual_output: str | None
-    trace_path: str | None
-    params: SamplingParams
-    fmt: str
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}")
-        if self.exact and self.samples is not None:
-            raise InputError("exact mode does not take --samples")
-        if not self.exact:
-            if self.samples is None or self.samples < 1:
-                raise InputError("sample mode needs --samples >= 1")
-            if self.seed is None:
-                raise InputError("sample mode needs an explicit --seed")
-        if self.method in ("gumbel", "its"):
-            if self.exact:
-                raise InputError(f"{self.method} has no exact mode; use --samples")
-            if self.factual_output is None and self.trace_path is None:
-                raise InputError(f"{self.method} needs --factual-output or --trace")
-            if self.trace_path is not None and self.samples != 1:
-                raise InputError("a stored trace is one deterministic replay; use --samples 1")
-        if self.method == "stable" and self.factual_output is None:
-            raise InputError("stable needs --factual-output")
-        if self.fmt not in ("json", "tsv"):
-            raise InputError(f"unknown format {self.fmt!r}")
 
 
 def _enum_cap() -> int:
@@ -121,11 +71,15 @@ def _enum_cap() -> int:
     return cap
 
 
-def _load_lm(path: str) -> ToyLM:
+def _read_text(path: str, what: str) -> str:
     p = Path(path)
     if not p.is_file():
-        raise InputError(f"model file not found: {path}")
-    return lm_from_json(p.read_text())
+        raise InputError(f"{what} file not found: {path}")
+    return p.read_text()
+
+
+def _load_lm(path: str) -> ToyLM:
+    return lm_from_json(_read_text(path, "model"))
 
 
 def _parse_seq(lm: ToyLM, text: str, what: str) -> TokenSeq:
@@ -175,10 +129,7 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    p = Path(args.model)
-    if not p.is_file():
-        raise InputError(f"model file not found: {args.model}")
-    report = validate_model(model_from_json(p.read_text()))
+    report = validate_model(model_from_json(_read_text(args.model, "model")))
     _emit(report.to_dict(), "json", args.out)
     return EXIT_OK if report.ok else EXIT_MODEL
 
@@ -188,81 +139,91 @@ def _sample_table(lm: ToyLM, draws: list[TokenSeq]) -> dict[str, float]:
     return {k: c / len(draws) for k, c in sorted(counts.items())}
 
 
+def _check_counterfactual_flags(args: argparse.Namespace) -> None:
+    """The checks that span more than one ``counterfactual`` flag."""
+    if args.exact and args.samples is not None:
+        raise InputError("exact mode does not take --samples")
+    if not args.exact:
+        if args.samples is None or args.samples < 1:
+            raise InputError("sample mode needs --samples >= 1")
+        if args.seed is None:
+            raise InputError("sample mode needs an explicit --seed")
+    if args.method in ("gumbel", "its"):
+        if args.exact:
+            raise InputError(f"{args.method} has no exact mode; use --samples")
+        if args.factual_output is None and args.trace is None:
+            raise InputError(f"{args.method} needs --factual-output or --trace")
+        if args.trace is not None and args.samples != 1:
+            raise InputError("a stored trace is one deterministic replay; use --samples 1")
+    if args.method == "stable" and args.factual_output is None:
+        raise InputError("stable needs --factual-output")
+
+
 def cmd_counterfactual(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        model_path=args.model,
-        prompt=args.prompt,
-        cf_prompt=args.cf_prompt,
-        method=args.method,
-        exact=args.exact,
-        samples=args.samples,
-        seed=args.seed,
-        factual_output=args.factual_output,
-        trace_path=args.trace,
-        params=SamplingParams(args.temperature, args.top_k, args.top_p),
-        fmt=args.format,
-    )
-    cfg.validate()
+    params = SamplingParams(args.temperature, args.top_k, args.top_p)
+    _check_counterfactual_flags(args)
     cap = _enum_cap()
-    lm = _load_lm(cfg.model_path)
-    x = _parse_seq(lm, cfg.prompt, "--prompt")
-    x_star = _parse_seq(lm, cfg.cf_prompt, "--cf-prompt")
-    y = _parse_output(lm, cfg.factual_output) if cfg.factual_output else None
+    lm = _load_lm(args.model)
+    x = _parse_seq(lm, args.prompt, "--prompt")
+    x_star = _parse_seq(lm, args.cf_prompt, "--cf-prompt")
+    y = _parse_output(lm, args.factual_output) if args.factual_output else None
 
     payload: dict = {
-        "method": cfg.method,
-        "mode": "exact" if cfg.exact else "sample",
-        "prompt": cfg.prompt,
-        "cf_prompt": cfg.cf_prompt,
-        "factual_output": cfg.factual_output,
+        "method": args.method,
+        "mode": "exact" if args.exact else "sample",
+        "prompt": args.prompt,
+        "cf_prompt": args.cf_prompt,
+        "factual_output": args.factual_output,
         "params": {
-            "temperature": cfg.params.temperature,
-            "top_k": cfg.params.top_k,
-            "top_p": cfg.params.top_p,
+            "temperature": params.temperature,
+            "top_k": params.top_k,
+            "top_p": params.top_p,
         },
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
 
-    if cfg.exact:
-        if cfg.method == "simple":
-            dist = simple_cf_dist(lm, CfQuery(x, x, x_star), cfg.params, cap)
+    if args.exact:
+        if args.method == "simple":
+            dist = simple_cf_dist(lm, CfQuery(x, x, x_star), params, cap)
         else:
-            dist = stable_cf_dist(lm, CfQuery(x, y, x_star), cfg.params, cap)
+            dist = stable_cf_dist(lm, CfQuery(x, y, x_star), params, cap)
         payload["dist"] = _dist_payload(lm, dist)
-        _emit(payload, cfg.fmt, args.out)
+        _emit(payload, args.format, args.out)
         return EXIT_OK
 
     draws: list[TokenSeq] = []
-    n = cfg.samples
-    if cfg.method == "simple":
+    n = args.samples
+    if args.method == "simple":
         q = CfQuery(x, x, x_star)
-        draws = [simple_cf_sample(lm, q, cfg.params, derive_seed(cfg.seed, i)) for i in range(n)]
-    elif cfg.method == "stable":
-        dist = stable_cf_dist(lm, CfQuery(x, y, x_star), cfg.params, cap)
+        draws = [simple_cf_sample(lm, q, params, derive_seed(args.seed, i)) for i in range(n)]
+    elif args.method == "stable":
+        dist = stable_cf_dist(lm, CfQuery(x, y, x_star), params, cap)
         outcomes = sorted(dist.entries, key=lambda seq: seq.ids)
         probs = [dist.entries[seq] for seq in outcomes]
-        rng = make_rng(cfg.seed)
+        rng = make_rng(args.seed)
         draws = [outcomes[draw(probs, rng.random())] for _ in range(n)]
     else:
-        trace: FactualTrace | None = None
-        if cfg.trace_path is not None:
-            tp = Path(cfg.trace_path)
-            if not tp.is_file():
-                raise InputError(f"trace file not found: {cfg.trace_path}")
-            trace = trace_from_json(lm, tp.read_text())
+        # every trace replayed below, stored or hindsight, carries ``params``
+        trace = None
+        if args.trace is not None:
+            trace = trace_from_json(lm, _read_text(args.trace, "trace"))
             if trace.x != x.stripped():
                 raise InputError("--prompt does not match the trace's factual prompt")
+            if trace.params != params:
+                raise InputError(
+                    f"--temperature/--top-k/--top-p do not match the trace's {trace.params}"
+                )
         for i in range(n):
-            seed_i = derive_seed(cfg.seed, i)
-            if cfg.method == "gumbel":
-                t = trace or gumbel_posterior_noise(lm, x, y, cfg.params, seed_i)
-                draws.append(gumbel_cf_sample(lm, t, x_star, cfg.params))
+            seed_i = derive_seed(args.seed, i)
+            if args.method == "gumbel":
+                t = trace or gumbel_posterior_noise(lm, x, y, params, seed_i)
+                draws.append(gumbel_cf_sample(lm, t, x_star))
             else:
-                t = trace or its_posterior_noise(lm, x, y, cfg.params, seed_i)
-                draws.append(its_cf_sample(lm, t, x_star, cfg.params))
+                t = trace or its_posterior_noise(lm, x, y, params, seed_i)
+                draws.append(its_cf_sample(lm, t, x_star))
     payload["draws"] = [_render_seq(lm, s) for s in draws]
     payload["empirical"] = _sample_table(lm, draws)
-    _emit(payload, cfg.fmt, args.out)
+    _emit(payload, args.format, args.out)
     return EXIT_OK
 
 
@@ -476,9 +437,6 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as e:
         print(f"error (cap): {e}", file=sys.stderr)
         return EXIT_CAP
-    except StableDistUndefinedError as e:
-        print(f"error (undefined): {e}", file=sys.stderr)
-        return EXIT_UNDEFINED
     except CfgenError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .dist import DistTable
+from .dist import DistTable, argmax, draw
 from .errors import EnumerationCapError, InputError, ModelError
 from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World
 
@@ -137,11 +137,6 @@ def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
         w = m.apply(u, r_star)
         entries[w] = entries.get(w, 0.0) + p / z
     return DistTable(entries)
-
-
-def det_counterfactual_given_u(m: DetSCM, u: World, r_star: World) -> World:
-    """With the noise pinned, the counterfactual world is unique."""
-    return m.apply(u, r_star)
 
 
 def to_nondet_when_u_irrelevant(m: DetSCM) -> NondetModel:
@@ -385,18 +380,24 @@ class ExoFragment:
         return DistTable(acc)
 
 
+# Largest canonical response table ``exogenize`` builds: it has one atom
+# per choice of outcome at every context, |order| ** |contexts| in all.
+_MAX_ATOMS = 100_000
+
+
 def exogenize(
     steps: Mapping[Hashable, DistTable],
     order: Sequence[Hashable],
     method: str,
-    max_atoms: int = 100_000,
 ) -> ExoFragment:
     """Pull the probability out of a conditional step into fresh noise.
 
     ``steps`` maps each context to its (normalized) outcome distribution
     over ``order``; the fixed ordering drives inverse-transform sampling.
-    For the finite methods the per-context marginal of the returned
-    fragment is checked against the input to 1e-9 on construction.
+    The inverse-transform and Gumbel fragments respond with the package's
+    one inverse-CDF ``draw`` and one perturbed ``argmax``. For the finite
+    methods the per-context marginal of the returned fragment is checked
+    against the input to 1e-9 on construction.
     """
     if not steps:
         raise InputError("need at least one context")
@@ -410,7 +411,7 @@ def exogenize(
     if method == "inverse_transform":
         fragment = _exogenize_its(steps, order, contexts)
     elif method == "canonical":
-        fragment = _exogenize_canonical(steps, order, contexts, max_atoms)
+        fragment = _exogenize_canonical(steps, order, contexts)
     elif method == "gumbel":
         fragment = _exogenize_gumbel(steps, order, contexts)
         return fragment  # marginal is the analytic argmax law, equal to the input
@@ -433,35 +434,28 @@ def _exogenize_its(
     order: Sequence[Hashable],
     contexts: tuple[Hashable, ...],
 ) -> ExoFragment:
+    # The breakpoints are the running sums ``draw`` crosses, so every atom
+    # lies inside one outcome's window at every context.
     breakpoints = {0.0, 1.0}
-    for d in steps.values():
+    rows: dict[Hashable, list[float]] = {}
+    for ctx, d in steps.items():
+        rows[ctx] = row = [d.prob(t) for t in order]
         acc = 0.0
-        for t in order:
-            acc += d.prob(t)
-            if 0.0 < acc < 1.0:
-                breakpoints.add(acc)
+        for p in row:
+            if p > 0.0:
+                acc += p
+                if acc < 1.0:
+                    breakpoints.add(acc)
     cuts = sorted(breakpoints)
     atoms = tuple(
         Interval(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo
     )
     p_u = DistTable({a: a.length for a in atoms}, unnormalized=False)
 
-    prefix: dict[Hashable, list[float]] = {}
-    for ctx, d in steps.items():
-        acc, sums = 0.0, []
-        for t in order:
-            acc += d.prob(t)
-            sums.append(acc)
-        prefix[ctx] = sums
-
     def respond(u: Hashable, ctx: Hashable) -> Hashable:
         if not isinstance(u, Interval):
             raise InputError("inverse-transform noise values are intervals")
-        sums = prefix[ctx]
-        for i, s in enumerate(sums):
-            if s > u.lo:
-                return order[i]
-        return order[len(order) - 1]
+        return order[draw(rows[ctx], u.lo)]
 
     return ExoFragment("inverse_transform", contexts, atoms, p_u, respond)
 
@@ -470,14 +464,13 @@ def _exogenize_canonical(
     steps: Mapping[Hashable, DistTable],
     order: Sequence[Hashable],
     contexts: tuple[Hashable, ...],
-    max_atoms: int,
 ) -> ExoFragment:
     # Response functions: one outcome per context, weighted independently
     # across contexts. Any coupling with the same per-context marginals
     # would serve; independence is the constructive default.
-    if len(order) ** len(contexts) > max_atoms:
+    if len(order) ** len(contexts) > _MAX_ATOMS:
         raise EnumerationCapError(
-            f"canonical response table would exceed {max_atoms} atoms"
+            f"canonical response table would exceed {_MAX_ATOMS} atoms"
         )
     atoms = tuple(itertools.product(order, repeat=len(contexts)))
     ctx_index = {ctx: i for i, ctx in enumerate(contexts)}
@@ -500,18 +493,15 @@ def _exogenize_gumbel(
     order: Sequence[Hashable],
     contexts: tuple[Hashable, ...],
 ) -> ExoFragment:
-    logits = {
-        ctx: [math.log(d.prob(t)) if d.prob(t) > 0.0 else -math.inf for t in order]
-        for ctx, d in steps.items()
-    }
+    rows = {ctx: [d.prob(t) for t in order] for ctx, d in steps.items()}
 
     def respond(u: Hashable, ctx: Hashable) -> Hashable:
-        noise = list(u)
+        noise = tuple(u)
         if len(noise) != len(order):
             raise InputError("noise vector length must match the outcome ordering")
-        scores = [g + noise[i] for i, g in enumerate(logits[ctx])]
-        best = max(range(len(order)), key=lambda i: (scores[i], -i))
-        return order[best]
+        if not all(math.isfinite(g) for g in noise):
+            raise InputError("gumbel noise must be finite")
+        return order[argmax(rows[ctx], noise)]
 
     return ExoFragment("gumbel", contexts, None, None, respond)
 

@@ -1,17 +1,22 @@
-"""Finite probability tables.
+"""Finite probability tables and the two ways to pick from a row.
 
 ``DistTable`` is the universal return type for exact queries: a mapping from
 hashable outcomes to probabilities, validated to be nonnegative and (unless
 explicitly flagged) normalized to 1 within ``NORM_TOL``.
+
+``draw`` (inverse CDF) and ``argmax`` (perturbed argmax) pick an index from
+a row of probabilities given its noise. The samplers, the noise-reuse
+replays and ``exogenize``'s inverse-transform and Gumbel responses all pick
+through these two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, ModelError
 
 NORM_TOL = 1e-9
 
@@ -109,3 +114,33 @@ def max_abs_diff(a: DistTable, b: DistTable) -> float:
     return max(abs(a.prob(o) - b.prob(o)) for o in outcomes)
 
 
+def draw(probs: Sequence[float], u: float) -> int:
+    """Inverse-CDF draw: the first index whose running sum of the positive
+    entries exceeds ``u``, or the last positive index if none does."""
+    acc = 0.0
+    last = -1
+    for i, p in enumerate(probs):
+        if p <= 0.0:
+            continue
+        acc += p
+        last = i
+        if acc > u:
+            return i
+    if last < 0:
+        raise ModelError("cannot draw from an all-zero distribution")
+    return last
+
+
+def argmax(probs: Sequence[float], gumbels: Sequence[float]) -> int:
+    """Perturbed argmax: the index maximizing log p + g over the positive
+    entries, the lowest index on ties."""
+    best, best_score = -1, -math.inf
+    for i, p in enumerate(probs):
+        if p <= 0.0:
+            continue
+        score = math.log(p) + gumbels[i]
+        if score > best_score:
+            best, best_score = i, score
+    if best < 0:
+        raise ModelError("cannot take an argmax over an all-zero distribution")
+    return best

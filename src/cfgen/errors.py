@@ -15,7 +15,3 @@ class ModelError(CfgenError):
 
 class EnumerationCapError(CfgenError):
     """Exact enumeration would exceed the configured world cap."""
-
-
-class StableDistUndefinedError(CfgenError):
-    """The counterfactually stable distribution has no mass left at some branch."""

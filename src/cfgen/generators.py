@@ -27,20 +27,11 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dist import DistTable
-from .errors import EnumerationCapError, InputError, ModelError, StableDistUndefinedError
+from .dist import DistTable, argmax, draw
+from .errors import EnumerationCapError, InputError, ModelError
 from .nondet import DEFAULT_ENUM_CAP
 from .seeding import make_rng
-from .tokenlm import (
-    SamplingParams,
-    TokenSeq,
-    ToyLM,
-    argmax,
-    draw,
-    output_seq,
-    sample_output,
-    seq_dist,
-)
+from .tokenlm import SamplingParams, TokenSeq, ToyLM, output_seq, sample_output, seq_dist
 
 _UNIFORM_FLOOR = 1e-300
 _UNIFORM_CEIL = 1.0 - 1e-16
@@ -66,6 +57,8 @@ class NoiseRecord:
     ``kind`` is "gumbel" (entries are length-|V| tuples) or "uniform"
     (entries are floats in [0, 1)). One entry per position 1..k, prompt
     positions included for uniformity even though nothing consumes them.
+    Entries are stored as given: the constructors in this module build
+    tuples and floats, and ``trace_from_json`` converts what it loads.
     """
 
     kind: str
@@ -74,9 +67,6 @@ class NoiseRecord:
     def __post_init__(self) -> None:
         if self.kind not in ("gumbel", "uniform"):
             raise InputError(f"unknown noise kind {self.kind!r}")
-        object.__setattr__(self, "entries", tuple(
-            tuple(e) if self.kind == "gumbel" else float(e) for e in self.entries
-        ))
 
 
 @dataclass(frozen=True)
@@ -397,18 +387,28 @@ def _stable_step(
     barred = _barred(factual, cf, obs)
     kept = [(t, p) for t, p in enumerate(cf) if p > 0.0 and t not in barred]
     mass = sum(p for _, p in kept)
-    if mass <= 0.0:
-        raise StableDistUndefinedError(
-            f"no probability mass left after excluding indices {sorted(barred)!r}"
-        )
+    # Some mass is always left. ``obs`` is never in its own barred set, so if
+    # cf[obs] > 0 it is kept. If not, its ratio is 0, while every index with
+    # cf mass has a ratio above 0 (factual entries are at most 1, so
+    # p / f >= p > 0) and is kept. Every cf row has positive mass: model rows
+    # are normalized, and ``_as_rows`` checks the rows callers pass.
+    assert mass > 0.0
     return [(t, p / mass) for t, p in kept]
 
 
 def _as_rows(
     factual: Sequence[tuple[str, float]], cf: Sequence[tuple[str, float]], factual_token: str
 ) -> tuple[list[str], list[float], list[float], int]:
-    """(token, p) pairs as two rows over cf's tokens and the observed one."""
+    """(token, p) pairs as two rows over cf's tokens and the observed one.
+
+    Probabilities must lie in [0, 1], and the counterfactual row must have
+    positive mass: the stable step restricts that mass, so it needs some.
+    """
     probs_f, probs_c = dict(factual), dict(cf)
+    if not all(0.0 <= p <= 1.0 for p in (*probs_f.values(), *probs_c.values())):
+        raise InputError("step probabilities must lie in [0, 1]")
+    if not any(p > 0.0 for p in probs_c.values()):
+        raise InputError("the counterfactual row has no positive probability")
     tokens = list(dict.fromkeys([*probs_c, factual_token]))
     rows = [[probs.get(t, 0.0) for t in tokens] for probs in (probs_f, probs_c)]
     return tokens, rows[0], rows[1], tokens.index(factual_token)
@@ -546,6 +546,9 @@ def trace_from_json(lm: ToyLM, text: str) -> FactualTrace:
     except json.JSONDecodeError as e:
         raise InputError(f"bad trace JSON: {e}") from e
     try:
+        for key in ("x", "y"):
+            if type(payload[key]) is not list:
+                raise InputError(f"trace {key!r} must be a list of tokens")
         x = lm.vocab.seq(payload["x"])
         y = lm.vocab.seq(payload["y"]).padded(lm.k)
         kind, entries = payload["kind"], payload["noise"]
@@ -566,7 +569,8 @@ def trace_from_json(lm: ToyLM, text: str) -> FactualTrace:
         raise InputError("trace noise must be finite numbers")
     if kind == "uniform" and not all(0.0 <= u < 1.0 for u in values):
         raise InputError("uniform noise must lie in [0, 1)")
-    trace = FactualTrace(x, y, NoiseRecord(kind, tuple(entries)), params)
+    noise = tuple(tuple(e) if kind == "gumbel" else float(e) for e in entries)
+    trace = FactualTrace(x, y, NoiseRecord(kind, noise), params)
     replay = gumbel_cf_sample if kind == "gumbel" else its_cf_sample
     got = replay(lm, trace, x)
     if got != y:

@@ -296,20 +296,26 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class SimpleSemanticsReport:
-    """Outcome of the exhaustive simple-semantics check on one model."""
+class VerificationReport:
+    """One claim, checked exhaustively on bounded instances."""
 
-    passed: bool
-    checked: int
+    claim: str
+    instances: int
     max_deviation: float
-    counterexample: dict | None
+    tolerance: float
+    passed: bool
+    counterexample: dict | None = None
+    notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
-            "passed": self.passed,
-            "checked": self.checked,
+            "claim": self.claim,
+            "instances": self.instances,
             "max_deviation": self.max_deviation,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
             "counterexample": self.counterexample,
+            "notes": list(self.notes),
         }
 
 
@@ -606,13 +612,14 @@ def _root_assignments(m: NondetModel) -> Iterator[World]:
 
 def check_simple_semantics(
     m: NondetModel, cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-12
-) -> SimpleSemanticsReport:
+) -> VerificationReport:
     """Exhaustively test whether counterfactuals collapse to resampling.
 
     For every positive-probability total world ``v`` and every root
     assignment differing from the actual one, compares the counterfactual
     distribution against the plain conditional distribution at the
-    alternative roots. Returns the first counterexample when they differ.
+    alternative roots. Returns the first counterexample when they differ;
+    ``instances`` counts the (v, r*) pairs compared.
     """
     max_dev = 0.0
     checked = 0
@@ -634,10 +641,12 @@ def check_simple_semantics(
                     dev = abs(cf.prob(w) - prior.prob(w))
                     max_dev = max(max_dev, dev)
                     if dev > tol:
-                        return SimpleSemanticsReport(
-                            False,
+                        return VerificationReport(
+                            "simple-semantics",
                             checked,
                             max_dev,
+                            tol,
+                            False,
                             {
                                 "v": v.as_dict(),
                                 "r_star": r_star.as_dict(),
@@ -646,7 +655,7 @@ def check_simple_semantics(
                                 "resampled": prior.prob(w),
                             },
                         )
-    return SimpleSemanticsReport(True, checked, max_dev, None)
+    return VerificationReport("simple-semantics", checked, max_dev, tol, True)
 
 
 # --- JSON interchange -------------------------------------------------------

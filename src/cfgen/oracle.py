@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .dist import DistTable, max_abs_diff
+from .dist import DistTable, draw, max_abs_diff
 from .detscm import DetSCM, det_conditional, det_counterfactual, to_nondet_when_u_irrelevant
 from .detscm import BinaryCfQuery, CanonicalBinarySCM, counterfactual_bounds_binary
 from .detscm import simple_binary_answer
@@ -45,6 +44,7 @@ from .nondet import (
     Cpt,
     NondetModel,
     VarSpec,
+    VerificationReport,
     World,
     counterfactual_dist,
     joint_prob,
@@ -56,36 +56,11 @@ from .tokenlm import (
     ToyLM,
     Vocab,
     compile_to_nondet,
-    draw,
     seq_dist,
     zero_temp_fn,
 )
 
 CLAIM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """One claim, checked exhaustively on bounded instances."""
-
-    claim: str
-    instances: int
-    max_deviation: float
-    tolerance: float
-    passed: bool
-    counterexample: dict | None = None
-    notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instances": self.instances,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "notes": list(self.notes),
-        }
 
 
 def enumerate_worlds(

@@ -19,9 +19,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .dist import DistTable
+from .dist import DistTable, argmax, draw  # argmax: kept importable from here
 from .errors import EnumerationCapError, InputError, ModelError
 from .nondet import DEFAULT_ENUM_CAP, CausalGraph, Cpt, NondetModel, VarSpec
 from .seeding import make_rng
@@ -282,38 +282,6 @@ def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
         probs = [p / z for p in probs]
 
     return tuple(probs)
-
-
-def draw(probs: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw: the first index whose running sum of the positive
-    entries exceeds ``u``, or the last positive index if none does."""
-    acc = 0.0
-    last = -1
-    for i, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        acc += p
-        last = i
-        if acc > u:
-            return i
-    if last < 0:
-        raise ModelError("cannot draw from an all-zero distribution")
-    return last
-
-
-def argmax(probs: Sequence[float], gumbels: Sequence[float]) -> int:
-    """Perturbed argmax: the index maximizing log p + g over the positive
-    entries, the lowest index on ties."""
-    best, best_score = -1, -math.inf
-    for i, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        score = math.log(p) + gumbels[i]
-        if score > best_score:
-            best, best_score = i, score
-    if best < 0:
-        raise ModelError("cannot take an argmax over an all-zero distribution")
-    return best
 
 
 def next_pairs(

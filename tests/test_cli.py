@@ -16,16 +16,16 @@ from cfgen.cli import (
     EXIT_CONFIG,
     EXIT_MODEL,
     EXIT_OK,
-    EXIT_UNDEFINED,
     main,
 )
-from cfgen.errors import (
-    EnumerationCapError,
-    InputError,
-    ModelError,
-    StableDistUndefinedError,
+from cfgen.errors import EnumerationCapError, InputError, ModelError
+from cfgen.generators import (
+    CfQuery,
+    gumbel_factual_run,
+    its_factual_run,
+    simple_cf_dist,
+    trace_to_json,
 )
-from cfgen.generators import CfQuery, its_factual_run, simple_cf_dist, trace_to_json
 from cfgen.tokenlm import SamplingParams
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -478,7 +478,6 @@ class TestErrorCodeMapping:
             (InputError("x"), EXIT_CONFIG),
             (ModelError("x"), EXIT_MODEL),
             (EnumerationCapError("x"), EXIT_CAP),
-            (StableDistUndefinedError("x"), EXIT_UNDEFINED),
         ]
         for exc, expected in cases:
             def boom(args, _e=exc):
@@ -620,6 +619,56 @@ class TestRejectedTraces:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err == f"error (config): {message}\n"
+
+
+class TestTraceParams:
+    def test_trace_replays_only_under_its_own_params(self, capsys, tmp_path, fixture_dir, lm3):
+        # recorded at T = 0.2, this trace gives "a a"; at the default T = 1
+        # the same noise gives "a a a"
+        y, trace = gumbel_factual_run(lm3, lm3.vocab.seq(["a"]), SamplingParams(0.2), 3)
+        assert lm3.vocab.strings(y.stripped()) == ("a", "a")
+        path = tmp_path / "trace.json"
+        path.write_text(trace_to_json(lm3, trace))
+        argv = [
+            "counterfactual", "--model", str(fixture_dir / "lm3.json"), "--prompt", "a",
+            "--cf-prompt", "a", "--method", "gumbel", "--trace", str(path),
+            "--samples", "1", "--seed", "0",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (
+            "error (config): --temperature/--top-k/--top-p do not match the trace's "
+            "SamplingParams(temperature=0.2, top_k=None, top_p=None)\n"
+        )
+        code, out, _ = run([*argv, "--temperature", "0.2"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["draws"] == ["a a"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--model", "{missing}"], "model file not found: {missing}"),
+        (
+            ["counterfactual", "--model", "{missing}", "--prompt", "a", "--cf-prompt", "b",
+             "--method", "simple", "--exact"],
+            "model file not found: {missing}",
+        ),
+        (
+            ["counterfactual", "--model", "{lm3}", "--prompt", "a", "--cf-prompt", "b",
+             "--method", "its", "--trace", "{missing}", "--samples", "1", "--seed", "0"],
+            "trace file not found: {missing}",
+        ),
+    ],
+    ids=["validate_model", "counterfactual_model", "counterfactual_trace"],
+)
+def test_missing_file_is_config_error(capsys, tmp_path, fixture_dir, argv, message):
+    paths = {"missing": str(tmp_path / "absent.json"), "lm3": str(fixture_dir / "lm3.json")}
+    code, out, err = run([a.format(**paths) for a in argv], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error (config): {message.format(**paths)}\n"
 
 
 class TestInProcessReuse:

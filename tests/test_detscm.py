@@ -7,16 +7,21 @@ Claims:
     - noise-independent models convert to equivalent chance models
     - identification bounds for the flip query are [0, 1] at p=0.3, q=0.7,
       and the resampling answer always lands inside them
-    - every exogenization method reconstructs the step marginals
+    - every exogenization method reconstructs the step marginals, and the
+      inverse-transform and Gumbel fragments respond through ``draw`` and
+      ``argmax``
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfgen.dist import DistTable, max_abs_diff
+from cfgen.dist import DistTable, argmax, draw, max_abs_diff
 from cfgen.detscm import (
     BinaryCfQuery,
     CanonicalBinarySCM,
@@ -25,14 +30,13 @@ from cfgen.detscm import (
     counterfactual_bounds_binary,
     det_conditional,
     det_counterfactual,
-    det_counterfactual_given_u,
     detscm_from_json,
     detscm_to_json,
     exogenize,
     simple_binary_answer,
     to_nondet_when_u_irrelevant,
 )
-from cfgen.errors import InputError, ModelError
+from cfgen.errors import EnumerationCapError, InputError, ModelError
 from cfgen.nondet import CausalGraph, VarSpec, World, counterfactual_dist, joint_prob
 from cfgen.oracle import random_u_independent_scm
 from cfgen.seeding import derive_seed, make_rng
@@ -75,11 +79,11 @@ class TestCanonicalBinary:
     def test_given_noise_counterfactual_is_a_world(self):
         m = CHOICE_HI.to_detscm()
         # copy type at flipped cause
-        assert det_counterfactual_given_u(m, World.of({"U": 0}), World.of({"X": 0}))["Y"] == 0
+        assert m.apply(World.of({"U": 0}), World.of({"X": 0}))["Y"] == 0
         # constant-1 type ignores the cause
-        assert det_counterfactual_given_u(m, World.of({"U": 3}), World.of({"X": 0}))["Y"] == 1
+        assert m.apply(World.of({"U": 3}), World.of({"X": 0}))["Y"] == 1
         # negate type at flipped cause
-        assert det_counterfactual_given_u(m, World.of({"U": 1}), World.of({"X": 0}))["Y"] == 1
+        assert m.apply(World.of({"U": 1}), World.of({"X": 0}))["Y"] == 1
 
     def test_boundary_flag(self):
         assert CHOICE_HI.is_boundary
@@ -221,6 +225,71 @@ class TestExogenize:
     def test_unknown_method(self):
         with pytest.raises(InputError):
             exogenize({(): DistTable({"a": 1.0})}, ("a",), "nope")
+
+    def test_canonical_table_above_the_atom_limit(self):
+        steps = {ctx: DistTable({0: 0.5, 1: 0.5}) for ctx in range(17)}  # 2**17 atoms
+        with pytest.raises(
+            EnumerationCapError, match="^canonical response table would exceed 100000 atoms$"
+        ):
+            exogenize(steps, (0, 1), "canonical")
+
+    def test_its_atom_past_the_last_positive_outcome(self):
+        # the prefix sums stop at 1 - 1e-12, so the last atom lies beyond them;
+        # it belongs to the last positive outcome, not to the zero one after it
+        frag = exogenize(
+            {(): DistTable({"a": 0.5, "b": 0.5 - 1e-12, "c": 0.0})}, ("a", "b", "c"),
+            "inverse_transform",
+        )
+        assert [frag.respond(u, ()) for u in frag.u_domain] == ["a", "b", "b"]
+
+    @pytest.mark.parametrize("noise", [(0.0, -math.inf), (0.0, math.nan), (math.inf, 0.0)])
+    def test_gumbel_rejects_non_finite_noise(self, noise):
+        frag = exogenize({(): DistTable({"a": 0.0, "b": 1.0})}, ("a", "b"), "gumbel")
+        with pytest.raises(InputError, match="gumbel noise must be finite"):
+            frag.respond(noise, ())
+
+
+@st.composite
+def _steps_and_noise(draw_from):
+    n = draw_from(st.integers(min_value=1, max_value=5))
+    order = tuple(f"t{i}" for i in range(n))
+    steps = {}
+    for ctx in range(draw_from(st.integers(min_value=1, max_value=3))):
+        # small integer weights give zeros and tied probabilities
+        ws = draw_from(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+        )
+        steps[ctx] = DistTable({t: w / sum(ws) for t, w in zip(order, ws)})
+    # a few distinct values, so perturbed scores tie too
+    noise = draw_from(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, math.log(2.0)]), st.floats(-50.0, 50.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return steps, order, tuple(noise)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_steps_and_noise())
+def test_fragments_respond_through_draw_and_argmax(case):
+    steps, order, noise = case
+    its = exogenize(steps, order, "inverse_transform")
+    gumbel = exogenize(steps, order, "gumbel")
+    for ctx, d in steps.items():
+        row = [d.prob(t) for t in order]
+        expected = order[argmax(row, noise)]
+        assert gumbel.respond(noise, ctx) == expected
+        # the score the fragment used to compute by hand: log p + g, with
+        # zero entries at -inf and ties to the lowest index
+        scores = [math.log(p) + g if p > 0.0 else -math.inf for p, g in zip(row, noise)]
+        assert expected == order[max(range(len(order)), key=lambda i: (scores[i], -i))]
+        for u in its.u_domain:
+            t = its.respond(u, ctx)
+            # the whole atom lies in t's window, and t has positive probability
+            assert t == order[draw(row, u.lo)] == order[draw(row, (u.lo + u.hi) / 2)]
+            assert d.prob(t) > 0.0
 
 
 class TestDetJson:

@@ -8,8 +8,9 @@ Claims:
       in play; the crafted top-k fixture does produce counted violations
     - the closeness-biased distribution matches hand-derived tables, puts
       zero mass on excluded tokens, normalizes, and stays inside the
-      resampling support
-    - traces round-trip through JSON bit-exactly
+      resampling support, and its step never runs out of mass
+    - traces round-trip through JSON bit-exactly, and malformed ones are
+      rejected
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from cfgen.generators import (
     CfQuery,
     FactualTrace,
     NoiseRecord,
+    _stable_step,
     excluded_tokens,
     gumbel_cf_sample,
     gumbel_factual_run,
@@ -407,6 +409,45 @@ def test_stable_step_laws_hold_generally(case):
     assert all(dict(cf)[t] > 0.0 for t in step.support)
 
 
+@st.composite
+def _stable_step_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+    factual = draw(st.lists(entry, min_size=n, max_size=n))
+    weights = draw(st.lists(entry, min_size=n, max_size=n).filter(lambda ws: sum(ws) > 0.0))
+    z = sum(weights)
+    return factual, [w / z for w in weights], draw(st.integers(min_value=0, max_value=n - 1))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_stable_step_rows())
+def test_stable_step_always_keeps_mass(case):
+    # why the step needs no "undefined" outcome: on any normalized cf row the
+    # observed index or some index with cf mass survives the exclusion
+    factual, cf, obs = case
+    step = _stable_step(factual, cf, obs)
+    assert step and all(p > 0.0 for _, p in step)
+    assert sum(p for _, p in step) == pytest.approx(1.0, abs=1e-9)
+    assert len({t for t, _ in step}) == len(step)
+
+
+@pytest.mark.parametrize("wrapper", [stable_step_dist, excluded_tokens])
+@pytest.mark.parametrize(
+    "factual, cf, message",
+    [
+        ([("a", 0.5), ("b", 0.5)], [("a", 0.0), ("b", 0.0)], "has no positive probability"),
+        ([("a", 0.5), ("b", 0.5)], [], "has no positive probability"),
+        # a factual entry above 1 could round a cf/factual ratio down to 0
+        ([("a", 2.0), ("b", 0.5)], [("a", 5e-324), ("b", 0.0)], r"must lie in \[0, 1\]"),
+        ([("a", 0.5), ("b", float("nan"))], [("a", 0.5), ("b", 0.5)], r"must lie in \[0, 1\]"),
+    ],
+    ids=["cf_all_zero", "cf_empty", "factual_above_one", "factual_nan"],
+)
+def test_step_wrappers_reject_unusable_rows(wrapper, factual, cf, message):
+    with pytest.raises(InputError, match=message):
+        wrapper(factual, cf, "b")
+
+
 class TestStabilityCheck:
     def test_stable_support_has_no_violations(self, asym):
         lm, x, xs = asym
@@ -515,6 +556,15 @@ class TestTraces:
         _, trace = gumbel_factual_run(lm3, lm3.vocab.seq(["a"]), PARAMS, 8)
         payload = {**json.loads(trace_to_json(lm3, trace)), **changes}
         with pytest.raises(InputError):
+            trace_from_json(lm3, json.dumps(payload))
+
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_rejects_token_strings(self, lm3, key):
+        _, trace = gumbel_factual_run(lm3, lm3.vocab.seq(["a"]), PARAMS, 8)
+        payload = json.loads(trace_to_json(lm3, trace))
+        # lm3's tokens are single letters, so the joined string spells the list
+        payload[key] = "".join(payload[key])
+        with pytest.raises(InputError, match=f"trace '{key}' must be a list of tokens"):
             trace_from_json(lm3, json.dumps(payload))
 
     def test_rejects_wrong_arity(self, asym):

@@ -29,6 +29,7 @@ from cfgen.nondet import (
     Cpt,
     NondetModel,
     VarSpec,
+    VerificationReport,
     World,
     check_simple_semantics,
     counterfactual_case_prob,
@@ -262,6 +263,15 @@ class TestSimpleSemantics:
 
     def test_single_edge_model_passes(self, binary_chain):
         assert check_simple_semantics(binary_chain).passed
+
+    def test_report_is_the_shared_verification_report(self, binary_chain):
+        # two positive worlds per root value, one alternative root value each
+        rep = check_simple_semantics(binary_chain, tol=1e-10)
+        assert rep == VerificationReport("simple-semantics", 4, 0.0, 1e-10, True)
+        assert set(rep.to_dict()) == {
+            "claim", "instances", "max_deviation", "tolerance", "passed", "counterexample",
+            "notes",
+        }
 
     def test_deterministic_chain_passes(self):
         x = VarSpec("X", ("0", "1"))
