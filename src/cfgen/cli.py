@@ -159,6 +159,12 @@ def _check_counterfactual_flags(args: argparse.Namespace) -> None:
         raise InputError("stable needs --factual-output")
 
 
+def _require_untruncated(params: SamplingParams, what: str) -> None:
+    """Gumbel hindsight noise refuses truncation; say so in terms of flags."""
+    if params.truncates:
+        raise InputError(f"--top-k/--top-p break noise-reuse stability; {what} cannot take them")
+
+
 def cmd_counterfactual(args: argparse.Namespace) -> int:
     params = SamplingParams(args.temperature, args.top_k, args.top_p)
     _check_counterfactual_flags(args)
@@ -213,6 +219,8 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
                 raise InputError(
                     f"--temperature/--top-k/--top-p do not match the trace's {trace.params}"
                 )
+        elif args.method == "gumbel":
+            _require_untruncated(params, "--method gumbel")
         for i in range(n):
             seed_i = derive_seed(args.seed, i)
             if args.method == "gumbel":
@@ -301,6 +309,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise InputError("compare needs an explicit --seed")
+    if args.samples < 1:
+        raise InputError("compare needs --samples >= 1")
     cap = _enum_cap()
     lm = _load_lm(args.model)
     params = SamplingParams(args.temperature, args.top_k, args.top_p)
@@ -319,6 +329,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tables["stable"] = stable_cf_dist(lm, q, params, cap)
     exactness["stable"] = "exact"
 
+    _require_untruncated(params, "compare's gumbel row")
     gumbel_draws = []
     its_draws = []
     for i in range(n):

@@ -108,10 +108,17 @@ def tvd(a: DistTable, b: DistTable) -> float:
 
 def max_abs_diff(a: DistTable, b: DistTable) -> float:
     """Largest pointwise probability deviation over the union support."""
-    outcomes = set(a.entries) | set(b.entries)
-    if not outcomes:
-        return 0.0
-    return max(abs(a.prob(o) - b.prob(o)) for o in outcomes)
+    mine, theirs = a.entries, b.entries
+    get = theirs.get
+    worst = 0.0
+    for o, p in mine.items():
+        d = abs(p - get(o, 0.0))
+        if d > worst:
+            worst = d
+    for o, q in theirs.items():
+        if o not in mine and abs(q) > worst:
+            worst = abs(q)
+    return worst
 
 
 def draw(probs: Sequence[float], u: float) -> int:

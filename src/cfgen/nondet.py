@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .dist import DistTable
@@ -234,15 +236,18 @@ class _Plan:
     """What every query on one model reads, worked out once.
 
     The shape (names, roots, non-roots and their sets), and one step per
-    variable in topological order: ``(name, cpt, parent positions, fault)``.
+    variable in topological order: ``(name, cpt, parent positions, fault,
+    pick)``, where ``pick`` takes the parent values out of a walk's values.
     ``cpt`` is None at a root; ``fault`` is raised when the walk reaches a
-    step it cannot pass. ``perm`` orders the positions by name, so a walk's
-    values make a canonical ``World``. ``steps`` is None on a cycle. Holds
-    the model's tables, not the model, so there is no reference cycle.
+    step it cannot pass. ``perm`` orders the positions by name, and
+    ``pick_sorted`` applies it, so a walk's values make a canonical
+    ``World``. ``steps`` is None on a cycle. Holds the model's tables, not
+    the model, so there is no reference cycle.
     """
 
     __slots__ = (
-        "var_names", "names", "roots", "root_set", "non_roots", "steps", "sorted_names", "perm"
+        "var_names", "names", "roots", "root_set", "non_roots", "steps", "sorted_names", "perm",
+        "pick_sorted",
     )
 
     def __init__(self, m: NondetModel) -> None:
@@ -255,26 +260,36 @@ class _Plan:
         try:
             order = m.graph.topological_order()
         except ModelError:
-            self.steps = self.sorted_names = self.perm = None
+            self.steps = self.sorted_names = self.perm = self.pick_sorted = None
             return
         position = {name: i for i, name in enumerate(order)}
         steps = []
         for i, name in enumerate(order):
             if name in self.root_set:
-                steps.append((name, None, (), None))
+                steps.append((name, None, (), None, None))
                 continue
             cpt = m.cpts.get(name)
             if cpt is None:
-                steps.append((name, None, (), f"{name}: missing table"))
+                steps.append((name, None, (), f"{name}: missing table", None))
                 continue
             parents = tuple(position.get(p, i) for p in cpt.parent_order)
             fault = None
             if any(j >= i for j in parents):
                 fault = f"{name}: table parents do not match graph parents"
-            steps.append((name, cpt, parents, fault))
+            steps.append((name, cpt, parents, fault, _picker(parents)))
         self.steps = tuple(steps)
         self.sorted_names = tuple(sorted(order))
         self.perm = tuple(position[name] for name in self.sorted_names)
+        self.pick_sorted = _picker(self.perm)
+
+
+def _picker(positions: tuple[int, ...]):
+    """A function from a tuple to the tuple of its entries at ``positions``."""
+    start = positions[0] if positions else 0
+    stop = start + len(positions)
+    if positions == tuple(range(start, stop)):
+        return itemgetter(slice(start, stop))
+    return itemgetter(*positions)  # two or more positions: returns a tuple
 
 
 def _plan_of(m: NondetModel) -> _Plan:
@@ -415,36 +430,44 @@ def joint_prob(m: NondetModel, v: World, r: World) -> float:
     _require_roots(m, r)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
+    return _actual_rows(m, v)[0]
+
+
+# per non-root table: (actual parent values, actual value) under the evidence
+_Observed = Mapping[str, tuple[tuple[Hashable, ...], Hashable]]
+
+
+def _actual_rows(m: NondetModel, v: World) -> tuple[float, _Observed]:
+    """One pass over the non-roots of the total world ``v``: the product of
+    their actual table entries (0.0 as soon as one is), and per table the
+    actual parent values and the actual value."""
     actual = v.as_dict()
+    observed: dict[str, tuple[tuple[Hashable, ...], Hashable]] = {}
     p = 1.0
-    for name in m.non_roots:
+    for name in _plan_of(m).non_roots:
         cpt = m.cpts.get(name)
         if cpt is None:
             raise ModelError(f"{name}: missing table")
-        row = cpt.row(tuple(actual[q] for q in cpt.parent_order))
-        p *= row.prob(actual[name])
+        parent_values = tuple(actual[q] for q in cpt.parent_order)
+        p *= cpt.row(parent_values).prob(actual[name])
         if p == 0.0:
-            return 0.0
-    return p
-
-
-# per table: (actual parent values, actual value) under the evidence
-_Observed = Mapping[str, tuple[tuple[Hashable, ...], Hashable]]
+            return 0.0, observed
+        observed[name] = (parent_values, actual[name])
+    return p, observed
 
 
 def _observed_rows(m: NondetModel, v: World) -> _Observed:
     """The evidence update of ``v``: per table, the actual parent values
     and the actual value, whose row becomes a point mass on it. An error
-    when ``v`` is not total or has zero probability."""
+    when ``v`` is not total or has zero probability; the checks are those
+    of ``joint_prob``, in its order."""
     _require_total(m, v)
-    r = v.restrict(m.roots)
-    if joint_prob(m, v, r) <= 0.0:
+    for name in _plan_of(m).roots:
+        m.var(name).index(v[name])
+    p, observed = _actual_rows(m, v)
+    if p <= 0.0:
         raise ModelError("impossible evidence: observed world has zero probability")
-    actual = v.as_dict()
-    return {
-        name: (tuple(actual[q] for q in cpt.parent_order), actual[name])
-        for name, cpt in m.cpts.items()
-    }
+    return observed
 
 
 def evidence_update(m: NondetModel, v: World) -> NondetModel:
@@ -454,7 +477,7 @@ def evidence_update(m: NondetModel, v: World) -> NondetModel:
     a point mass on its actual value; every other row is left untouched.
     Idempotent, and an error when ``v`` has zero probability.
     """
-    new_cpts: dict[str, Cpt] = {}
+    new_cpts = dict(m.cpts)
     for name, (actual_pa, value) in _observed_rows(m, v).items():
         cpt = m.cpts[name]
         rows = dict(cpt.rows)
@@ -472,56 +495,61 @@ def _positive_worlds(
     """Every positive-probability total world extending ``clamp``, with its
     probability, in depth-first order.
 
-    Forward enumeration along the model's plan, branching only on values
-    with positive table probability. ``observed`` (from ``_observed_rows``)
-    overlays the evidence update: the walk then equals one over
-    ``evidence_update(m, v)`` without copying a table. Raises
-    ``EnumerationCapError`` once more than ``cap`` partial assignments have
-    been expanded.
+    Forward enumeration along the model's plan, one level per step and
+    branching only on values with positive table probability. Each level
+    keeps its partial assignments in depth-first order, so the leaves come
+    out in that order with the same products. ``observed`` (from
+    ``_observed_rows``) overlays the evidence update: the walk then equals
+    one over ``evidence_update(m, v)`` without copying a table.
+
+    Every partial assignment that is expanded counts one against ``cap``,
+    when its level is made. Errors come in the order the walk meets them:
+    ``EnumerationCapError`` once the count passes ``cap``, a step's fault
+    when its level is reached, a missing row when a partial assignment
+    needs it.
     """
     plan = _plan_of(m)
     steps = plan.steps
     if steps is None:
         m.graph.topological_order()  # raises: the graph has a cycle
-    n = len(steps)
-    values: list[Hashable] = [None] * n
-    value_at = values.__getitem__
     fixed = clamp.as_dict()
-    overlay = [observed.get(name) for name, _, _, _ in steps] if observed else [None] * n
-    sorted_names, perm = plan.sorted_names, plan.perm
-    entries: dict[World, float] = {}
+    overlay = observed or {}
+    last = len(steps) - 1
+    level: list[tuple[tuple[Hashable, ...], float]] = [((), 1.0)]
     visited = 0
-
-    def walk(i: int, prob: float) -> None:
-        nonlocal visited
-        if i == n:
-            entries[World._canonical(tuple(zip(sorted_names, map(value_at, perm))))] = prob
-            return
-        visited += 1
+    for i, (name, cpt, _, fault, pick) in enumerate(steps):
+        visited += len(level)
         if visited > cap:
             raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
-        name, cpt, parents, fault = steps[i]
         if fault is not None:
             raise ModelError(fault)
         if cpt is None:
-            values[i] = fixed[name]
-            walk(i + 1, prob)
-            return
-        parent_values = tuple(map(value_at, parents))
-        seen = overlay[i]
-        if seen is not None and seen[0] == parent_values:
-            # the point mass of the update; prob * 1.0 is prob exactly
-            values[i] = seen[1]
-            walk(i + 1, prob)
-            return
-        for value, p in cpt.row(parent_values).items():
-            if p <= 0.0:
+            value = fixed[name]
+            level = [(values + (value,), prob) for values, prob in level]
+            continue
+        seen = overlay.get(name)
+        # the next level counts against the cap as it is made, unless it holds the leaves
+        room = cap - visited if i < last else math.inf
+        children: list[tuple[tuple[Hashable, ...], float]] = []
+        append = children.append
+        rows = cpt.rows
+        for values, prob in level:
+            parent_values = pick(values)
+            if seen is not None and seen[0] == parent_values:
+                # the point mass of the update; prob * 1.0 is prob exactly
+                append((values + (seen[1],), prob))
                 continue
-            values[i] = value
-            walk(i + 1, prob * p)
-
-    walk(0, 1.0)
-    return entries
+            row = rows.get(parent_values)
+            if row is None:
+                cpt.row(parent_values)  # raises: no row for these parent values
+            for value, p in row.entries.items():
+                if p > 0.0:
+                    append((values + (value,), prob * p))
+            if len(children) > room:
+                raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
+        level = children
+    sorted_names, pick = plan.sorted_names, plan.pick_sorted
+    return {World._canonical(tuple(zip(sorted_names, pick(values)))): prob for values, prob in level}
 
 
 def counterfactual_dist(
@@ -694,6 +722,8 @@ def model_from_json(text: str) -> NondetModel:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelError(f"bad model JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise ModelError("bad model JSON structure: the top level must be an object")
     try:
         vars_ = tuple(VarSpec(v["name"], tuple(v["domain"])) for v in payload["vars"])
         graph = CausalGraph.of(
@@ -717,6 +747,10 @@ def model_from_json(text: str) -> NondetModel:
                     raise ModelError(f"{child}: row {key!r} not normalized (sum={total!r})")
                 rows[values] = DistTable(dict(zip(domains[child], probs)))
             cpts[child] = Cpt(child, parents, rows)
-    except (KeyError, TypeError) as e:
-        raise ModelError(f"bad model JSON structure: {e!r}") from e
+    except KeyError as e:
+        raise ModelError(f"bad model JSON structure: missing key {e.args[0]!r}") from None
+    except InputError:
+        raise
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ModelError(f"bad model JSON structure: a value has the wrong shape ({e})") from None
     return NondetModel(vars_, graph, cpts)

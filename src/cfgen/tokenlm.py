@@ -67,28 +67,40 @@ class Vocab:
         return tuple(self.tokens[i] for i in seq.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSeq:
     """A token-id sequence in padded or unpadded form.
 
     Once the EMPTY id (0) appears, every later position must be EMPTY; the
     effective length is the position of the first EMPTY.
+
+    The hash is worked out once, at construction, and kept. It equals the
+    dataclass hash ``hash((ids,))``, so sets of sequences iterate in the
+    same order as if it were not kept. Keeping it costs one attribute
+    store; the store of ``ids`` that ``__post_init__`` skips when they are
+    already a tuple pays for it. Slots keep the size per sequence as it
+    was with an instance dict and no kept hash.
     """
 
     ids: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
+        ids = self.ids
+        if ids.__class__ is not tuple:
+            object.__setattr__(self, "ids", tuple(ids))
+            ids = self.ids
         # one comparison per real token: sequences are short, and on them
         # this loop is cheaper than builtin scans (min, index, count)
         seen_empty = False
-        for i in self.ids:
+        for i in ids:
             if i <= 0:
                 if i < 0:
                     raise InputError("token ids must be nonnegative")
                 seen_empty = True
             elif seen_empty:
                 raise InputError("non-EMPTY token after EMPTY: sequence not in padded form")
+        object.__setattr__(self, "_hash", hash((ids,)))
 
     @property
     def effective_len(self) -> int:
@@ -117,6 +129,16 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ids == other.ids
 
 
 @dataclass(frozen=True)

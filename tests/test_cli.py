@@ -93,6 +93,37 @@ class TestValidate:
         assert "not normalized" in err
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "the top level must be an object"),
+            ('{"edges": []}', "missing key 'vars'"),
+            ('{"vars": [{"name": "X"}], "edges": []}', "missing key 'domain'"),
+            ('{"vars": 3, "edges": []}', "a value has the wrong shape ('int' object is not iterable)"),
+            (
+                '{"vars": [{"name": "X", "domain": ["0"]}], "edges": [["X"]]}',
+                "a value has the wrong shape (not enough values to unpack (expected 2, got 1))",
+            ),
+            (
+                '{"vars": [{"name": "X", "domain": ["0"]}], "edges": [], "cpts": []}',
+                "a value has the wrong shape ('list' object has no attribute 'items')",
+            ),
+        ],
+        ids=["list", "no_vars", "no_domain", "int_vars", "short_edge", "list_cpts"],
+    )
+    def test_bad_structure_is_named_in_words(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(["validate", "--model", str(bad)], capsys)
+        assert (code, out) == (EXIT_MODEL, "")
+        assert err == f"error (model): bad model JSON structure: {message}\n"
+
+    def test_token_model_is_not_a_causal_model(self, capsys, fixture_dir):
+        code, _, err = run(["validate", "--model", str(fixture_dir / "lm3.json")], capsys)
+        assert code == EXIT_MODEL
+        assert err == "error (model): bad model JSON structure: missing key 'vars'\n"
+
+
 class TestCounterfactual:
     def test_simple_exact_matches_library(self, capsys, fixture_dir, lm3):
         code, out, _ = run(
@@ -584,6 +615,67 @@ class TestCompare:
         )
         assert code == EXIT_CONFIG
         assert "factual-output" in err
+
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_must_be_positive(self, capsys, fixture_dir, samples):
+        code, out, err = run(
+            ["compare", "--model", str(fixture_dir / "lm_asym.json"), "--prompt", "p",
+             "--cf-prompt", "q", "--factual-output", "p b", "--samples", samples, "--seed", "13"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error (config): compare needs --samples >= 1\n"
+
+
+LM3_QUERY = ["--prompt", "a", "--cf-prompt", "b", "--factual-output", "a a"]
+
+
+class TestTruncationFlags:
+    """Gumbel noise reuse refuses --top-k/--top-p; the message names the flags."""
+
+    @pytest.mark.parametrize("flag", [["--top-k", "2"], ["--top-p", "0.9"]])
+    def test_gumbel_counterfactual(self, capsys, fixture_dir, flag):
+        code, out, err = run(
+            ["counterfactual", "--model", str(fixture_dir / "lm3.json"), *LM3_QUERY,
+             "--method", "gumbel", "--samples", "3", "--seed", "1", *flag],
+            capsys,
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (
+            "error (config): --top-k/--top-p break noise-reuse stability; "
+            "--method gumbel cannot take them\n"
+        )
+
+    @pytest.mark.parametrize("flag", [["--top-k", "2"], ["--top-p", "0.9"]])
+    def test_compare(self, capsys, fixture_dir, flag):
+        code, out, err = run(
+            ["compare", "--model", str(fixture_dir / "lm3.json"), *LM3_QUERY,
+             "--samples", "5", "--seed", "1", *flag],
+            capsys,
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "--top-k/--top-p" in err and "gumbel" in err
+        assert "allow_truncation" not in err
+
+    def test_its_still_takes_them(self, capsys, fixture_dir):
+        code, out, _ = run(
+            ["counterfactual", "--model", str(fixture_dir / "lm3.json"), *LM3_QUERY,
+             "--method", "its", "--samples", "3", "--seed", "1", "--top-k", "2"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["top_k"] == 2
+
+    def test_model_errors_still_come_first(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        code, _, _ = run(
+            ["counterfactual", "--model", str(bad), *LM3_QUERY, "--method", "gumbel",
+             "--samples", "3", "--seed", "1", "--top-k", "2"],
+            capsys,
+        )
+        assert code == EXIT_MODEL
 
 
 def _lm3_trace(tmp_path, fixture_dir, lm3, **changes):

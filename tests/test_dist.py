@@ -92,3 +92,35 @@ def test_tvd_is_a_bounded_symmetric_distance(a, b):
 @given(tables())
 def test_tvd_self_is_zero(a):
     assert tvd(a, a) == 0.0
+
+
+@st.composite
+def overlapping_tables(draw):
+    """Two tables over overlapping, differently ordered outcome sets."""
+    keys = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7, unique=True))
+    mine = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    theirs = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+
+    def table(outcomes):
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(outcomes), max_size=len(outcomes)))
+        z = sum(weights)
+        if z <= 0.0:
+            return DistTable.point(outcomes[0])
+        return DistTable({o: w / z for o, w in zip(outcomes, weights)})
+
+    return table(mine), table(theirs)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(overlapping_tables())
+def test_max_abs_diff_is_the_max_over_the_union(pair):
+    a, b = pair
+    union = set(a.entries) | set(b.entries)
+    expected = max(abs(a.prob(o) - b.prob(o)) for o in union)
+    assert max_abs_diff(a, b) == expected == max_abs_diff(b, a)
+
+
+def test_max_abs_diff_of_empty_tables_is_zero():
+    empty = DistTable({}, unnormalized=True)
+    assert max_abs_diff(empty, empty) == 0.0
+    assert max_abs_diff(empty, DistTable.point("a")) == 1.0

@@ -8,34 +8,45 @@ Claims exercised here:
       like a fresh one, and a dropped model is freed with its plan
     - the enumeration cap counts expanded nodes as before the plan existed
     - a table whose parent is not assigned before it is a model error
+    - the level-order walk gives the depth-first walk's entries, in its order
+      and with its floats, and fails past the same caps; where a malformed
+      model has two faults, it reports the one its level order meets first
+    - a World hashes to ``hash((items,))``, whatever values it holds,
+      ``TokenSeq`` values with a kept hash among them
 """
 
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgen.dist import max_abs_diff
-from cfgen.errors import EnumerationCapError, ModelError
+from cfgen.dist import DistTable, max_abs_diff
+from cfgen.errors import CfgenError, EnumerationCapError, InputError, ModelError
 from cfgen.fixtures import asymmetric_lm, lm3_model
 from cfgen.nondet import (
     DEFAULT_ENUM_CAP,
+    CausalGraph,
     Cpt,
     NondetModel,
+    VarSpec,
     World,
+    _observed_rows,
+    _plan_of,
     _positive_worlds,
     check_simple_semantics,
     counterfactual_dist,
     counterfactual_dist_cases,
     evidence_update,
+    joint_prob,
 )
 from cfgen.oracle import random_nondet_model, random_root_world, random_world
 from cfgen.seeding import derive_seed, make_rng
-from cfgen.tokenlm import SamplingParams, compile_to_nondet, seq_dist
+from cfgen.tokenlm import SamplingParams, TokenSeq, compile_to_nondet, seq_dist
 
 
 def w(**kv) -> World:
@@ -168,3 +179,215 @@ def test_plan_shape_matches_graph(three_chain):
     worlds = _positive_worlds(m, w(X=1), DEFAULT_ENUM_CAP)
     assert len(worlds) == 4
     assert all(world.items == World.of(world.as_dict()).items for world in worlds)
+
+
+# --- the level-order walk against a depth-first reference ---------------------
+
+
+def dfs_worlds(m, clamp, cap, observed=None):
+    """The recursive depth-first walk the level-order walk replaced, kept
+    here as its reference: same plan, same overlay, one count per expanded
+    node, and each error raised where the recursion first meets it."""
+    plan = _plan_of(m)
+    steps = plan.steps
+    n = len(steps)
+    values = [None] * n
+    fixed = clamp.as_dict()
+    entries = {}
+    visited = 0
+
+    def walk(i, prob):
+        nonlocal visited
+        if i == n:
+            ordered = tuple(values[j] for j in plan.perm)
+            entries[World._canonical(tuple(zip(plan.sorted_names, ordered)))] = prob
+            return
+        visited += 1
+        if visited > cap:
+            raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
+        name, cpt, parents, fault = steps[i][:4]
+        if fault is not None:
+            raise ModelError(fault)
+        if cpt is None:
+            values[i] = fixed[name]
+            walk(i + 1, prob)
+            return
+        parent_values = tuple(values[j] for j in parents)
+        seen = (observed or {}).get(name)
+        if seen is not None and seen[0] == parent_values:
+            values[i] = seen[1]
+            walk(i + 1, prob)
+            return
+        for value, p in cpt.row(parent_values).items():
+            if p > 0.0:
+                values[i] = value
+                walk(i + 1, prob * p)
+
+    walk(0, 1.0)
+    return entries
+
+
+def outcome(walk, *args):
+    try:
+        return list(walk(*args).items())
+    except CfgenError as e:
+        return type(e), str(e)
+
+
+def assert_walks_agree(m, v, r_star, caps=()):
+    observed = _observed_rows(m, v)
+    for cap in (DEFAULT_ENUM_CAP, *caps):
+        for args in ((m, r_star, cap, observed), (m, r_star, cap)):
+            assert outcome(_positive_worlds, *args) == outcome(dfs_worlds, *args)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_level_walk_equals_depth_first_walk_on_random_models(seed):
+    assert_walks_agree(*random_instance(seed), caps=range(1, 12))
+
+
+@pytest.mark.parametrize("make_lm", [lm3_model, asymmetric_lm], ids=["lm3", "lm_asym"])
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
+def test_level_walk_equals_depth_first_walk_on_compiled_models(make_lm, temperature):
+    for m, v, r_star in compiled_instances(make_lm(), SamplingParams(temperature)):
+        assert_walks_agree(m, v, r_star, caps=range(1, 16))
+
+
+HALF = DistTable({"0": 0.5, "1": 0.5})
+
+
+def chain4(u_rows, y_rows):
+    """X -> T -> U -> Y over {0, 1}, with T a fair coin and the given rows."""
+    b = ("0", "1")
+    vars_ = tuple(VarSpec(name, b) for name in ("X", "T", "U", "Y"))
+    graph = CausalGraph.of(["X", "T", "U", "Y"], [("X", "T"), ("T", "U"), ("U", "Y")])
+    cpts = {
+        "T": Cpt("T", ("X",), {("0",): HALF, ("1",): HALF}),
+        "U": Cpt("U", ("T",), u_rows),
+        "Y": Cpt("Y", ("U",), y_rows),
+    }
+    return NondetModel(vars_, graph, cpts)
+
+
+def test_cap_is_met_while_a_level_is_made():
+    # U has no row at T=1. Y's level passes a cap of 5 while T=0 is being
+    # expanded, before the walk reaches T=1: the cap error comes first, as
+    # it did depth first. With one node more, the missing row does.
+    m = chain4({("0",): HALF}, {("0",): HALF, ("1",): HALF})
+    for cap in range(3, 8):
+        assert outcome(_positive_worlds, m, w(X=0), cap) == outcome(dfs_worlds, m, w(X=0), cap)
+    with pytest.raises(EnumerationCapError, match="cap 5 exceeded"):
+        _positive_worlds(m, w(X=0), 5)
+    with pytest.raises(ModelError, match=r"= \('1',\) of U"):
+        _positive_worlds(m, w(X=0), 6)
+
+
+def test_fault_after_a_branch_now_loses_to_the_cap(three_chain):
+    # Y's table reads Z, which is not a model variable: a fault at Y's step,
+    # after T has branched into two nodes. Depth first, the fault came at
+    # the third expanded node; level by level, Y's level holds the third
+    # and the fourth, so a cap of 3 now reports the cap.
+    cpt_y = Cpt("Y", ("Z",), three_chain.cpts["Y"].rows)
+    m = NondetModel(three_chain.vars, three_chain.graph, {**three_chain.cpts, "Y": cpt_y})
+    fault = "Y: table parents do not match graph parents"
+    with pytest.raises(ModelError, match=fault):
+        dfs_worlds(m, w(X=1), 3)
+    with pytest.raises(EnumerationCapError, match="cap 3 exceeded"):
+        _positive_worlds(m, w(X=1), 3)
+    for walk in (_positive_worlds, dfs_worlds):
+        with pytest.raises(ModelError, match=fault):
+            walk(m, w(X=1), 4)
+        with pytest.raises(EnumerationCapError, match="cap 2 exceeded"):
+            walk(m, w(X=1), 2)
+
+
+def test_cap_and_fault_on_one_level_keep_the_depth_first_order(three_chain):
+    # T's table reads Y, which comes after it: a fault on T's level, which
+    # holds one node. Counting that node comes first, as depth first.
+    cpt_t = Cpt("T", ("Y",), three_chain.cpts["T"].rows)
+    m = NondetModel(three_chain.vars, three_chain.graph, {**three_chain.cpts, "T": cpt_t})
+    for cap in range(1, 4):
+        assert outcome(_positive_worlds, m, w(X=1), cap) == outcome(dfs_worlds, m, w(X=1), cap)
+    with pytest.raises(EnumerationCapError, match="cap 1 exceeded"):
+        _positive_worlds(m, w(X=1), 1)
+    with pytest.raises(ModelError, match="T: table parents do not match graph parents"):
+        _positive_worlds(m, w(X=1), 2)
+
+
+def test_missing_rows_are_reported_in_level_order():
+    # U has no row at T=1 and Y none at U=0. Depth first meets Y's missing
+    # row first (on T=0, U=0); level by level meets U's, one level higher.
+    m = chain4({("0",): DistTable.point("0")}, {("1",): HALF})
+    with pytest.raises(ModelError, match=r"= \('0',\) of Y"):
+        dfs_worlds(m, w(X=0), DEFAULT_ENUM_CAP)
+    with pytest.raises(ModelError, match=r"= \('1',\) of U"):
+        _positive_worlds(m, w(X=0), DEFAULT_ENUM_CAP)
+
+
+# --- the evidence pass ----------------------------------------------------------
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_observed_rows_check_like_joint_prob(seed, any_world):
+    m, v, _ = random_instance(seed)
+    if any_world:
+        # any total world, most of them impossible
+        rng = make_rng(seed)
+        v = World.of({var.name: rng.choice(var.domain) for var in m.vars})
+    r = v.restrict(m.roots)
+    if joint_prob(m, v, r) <= 0.0:
+        with pytest.raises(ModelError, match="impossible evidence"):
+            _observed_rows(m, v)
+        return
+    actual = v.as_dict()
+    assert _observed_rows(m, v) == {
+        name: (tuple(actual[q] for q in m.cpts[name].parent_order), actual[name])
+        for name in m.non_roots
+    }
+
+
+def test_observed_rows_errors(three_chain):
+    with pytest.raises(InputError, match="world not total"):
+        _observed_rows(three_chain, w(X=0, T=0))
+    with pytest.raises(InputError, match="not in domain of X"):
+        _observed_rows(three_chain, w(X=2, T=0, Y=0))
+    no_y = NondetModel(three_chain.vars, three_chain.graph, {"T": three_chain.cpts["T"]})
+    with pytest.raises(ModelError, match="Y: missing table"):
+        _observed_rows(no_y, w(X=0, T=0, Y=0))
+
+
+def test_evidence_update_keeps_the_table_order(three_chain):
+    v = w(X=0, T=0, Y=0)
+    reordered = NondetModel(
+        three_chain.vars, three_chain.graph, {"Y": three_chain.cpts["Y"], "T": three_chain.cpts["T"]}
+    )
+    updated = evidence_update(reordered, v)
+    assert list(updated.cpts) == ["Y", "T"]
+    assert updated.cpts["T"].rows[("0",)] == DistTable.point("0")
+    assert updated.cpts["T"].rows[("1",)] is three_chain.cpts["T"].rows[("1",)]
+
+
+# --- World keys -----------------------------------------------------------------
+
+VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.integers(0, 2), st.text(max_size=2)),
+    st.builds(TokenSeq, st.lists(st.integers(1, 3), max_size=3).map(tuple)),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=3), VALUES, max_size=5))
+def test_world_hash_is_the_dataclass_hash(assignment):
+    by_of = World.of(assignment)
+    by_canonical = World._canonical(tuple(sorted(assignment.items(), key=lambda kv: kv[0])))
+    assert by_of == by_canonical and by_canonical == by_of
+    assert hash(by_of) == hash(by_canonical) == hash((by_of.items,))
+    assert {by_of: 1}[by_canonical] == 1
+    copy = pickle.loads(pickle.dumps(by_of))
+    assert copy == by_of and hash(copy) == hash(by_of)

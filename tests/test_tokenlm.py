@@ -10,12 +10,14 @@ Claims:
     - compiling reproduces the chain product as a causal-model joint and
       the compiled model satisfies the simple semantics
     - the JSON model format round-trips
+    - a TokenSeq hashes once, to the value the dataclass hash would give
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -296,3 +298,26 @@ class TestLmJson:
         # bigram backoff: empty context uses the unigram row
         d = next_dist(lm, TokenSeq(()), SamplingParams())
         assert d.prob("a") == 0.5
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=4), st.integers(0, 3))
+def test_token_seq_hash_is_the_dataclass_hash(body, pad):
+    seq = TokenSeq(tuple(body) + (0,) * pad)
+    again = TokenSeq(list(seq.ids))
+    assert seq == again and seq is not again
+    assert hash(seq) == hash(again) == hash((seq.ids,))
+    assert seq._hash == hash(seq)  # kept from construction
+    assert seq.stripped() == TokenSeq(tuple(body)) and hash(seq.stripped()) == hash((tuple(body),))
+    assert {seq: 1}[again] == 1
+    # ids are ints, whose hashes do not depend on the process
+    copy = pickle.loads(pickle.dumps(seq))
+    assert copy == seq and hash(copy) == hash(seq) == copy._hash
+
+
+def test_token_seq_equality_is_by_ids_and_class():
+    a = TokenSeq((1, 2))
+    assert a == a and a == TokenSeq((1, 2)) and a != TokenSeq((1, 2, 0))
+    assert a != (1, 2) and a.__eq__((1, 2)) is NotImplemented
+    assert repr(a) == "TokenSeq(ids=(1, 2))"
+
