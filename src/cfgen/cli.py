@@ -172,7 +172,8 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
     lm = _load_lm(args.model)
     x = _parse_seq(lm, args.prompt, "--prompt")
     x_star = _parse_seq(lm, args.cf_prompt, "--cf-prompt")
-    y = _parse_output(lm, args.factual_output) if args.factual_output else None
+    y = None if args.factual_output is None else _parse_output(lm, args.factual_output)
+    q = CfQuery(x, x if y is None else y, x_star)
 
     payload: dict = {
         "method": args.method,
@@ -190,9 +191,9 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
 
     if args.exact:
         if args.method == "simple":
-            dist = simple_cf_dist(lm, CfQuery(x, x, x_star), params, cap)
+            dist = simple_cf_dist(lm, q, params, cap)
         else:
-            dist = stable_cf_dist(lm, CfQuery(x, y, x_star), params, cap)
+            dist = stable_cf_dist(lm, q, params, cap)
         payload["dist"] = _dist_payload(lm, dist)
         _emit(payload, args.format, args.out)
         return EXIT_OK
@@ -200,10 +201,9 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
     draws: list[TokenSeq] = []
     n = args.samples
     if args.method == "simple":
-        q = CfQuery(x, x, x_star)
         draws = [simple_cf_sample(lm, q, params, derive_seed(args.seed, i)) for i in range(n)]
     elif args.method == "stable":
-        dist = stable_cf_dist(lm, CfQuery(x, y, x_star), params, cap)
+        dist = stable_cf_dist(lm, q, params, cap)
         outcomes = sorted(dist.entries, key=lambda seq: seq.ids)
         probs = [dist.entries[seq] for seq in outcomes]
         rng = make_rng(args.seed)

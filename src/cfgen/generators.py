@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .dist import DistTable, argmax, draw
-from .errors import EnumerationCapError, InputError, ModelError
+from .errors import InputError, ModelError
 from .nondet import DEFAULT_ENUM_CAP
 from .seeding import make_rng
-from .tokenlm import SamplingParams, TokenSeq, ToyLM, output_seq, sample_output, seq_dist
+from .tokenlm import SamplingParams, TokenSeq, ToyLM, forward, sample_output, seq_dist, walk_law
 
 _UNIFORM_FLOOR = 1e-300
 _UNIFORM_CEIL = 1.0 - 1e-16
@@ -164,7 +165,108 @@ def _std_gumbel(u: float) -> float:
     return -math.log(-math.log(u))
 
 
-# --- gumbel ------------------------------------------------------------------
+# --- noise reuse: gumbel and inverse transform ---------------------------------
+#
+# The two methods share three routines and differ only in their noise kind:
+# how one position's noise is drawn fresh, how it is drawn given the token
+# observed there, and how a token is picked from a row given its noise.
+
+
+def _fresh_gumbel(rng: random.Random, size: int) -> tuple[float, ...]:
+    return tuple(_std_gumbel(rng.random()) for _ in range(size))
+
+
+def _fresh_uniform(rng: random.Random, size: int) -> float:
+    return rng.random()
+
+
+def _gumbel_given(probs: Sequence[float], obs: int, rng: random.Random) -> tuple[float, ...]:
+    """A Gumbel vector conditioned on ``obs`` winning the perturbed argmax:
+    the winner's perturbed value is the overall max, every other
+    positive-probability token is truncated below it, and zero-probability
+    tokens are unconstrained."""
+    top = _std_gumbel(rng.random()) + math.log(sum(probs))
+    noise = []
+    for i, p in enumerate(probs):
+        if i == obs:
+            noise.append(top - math.log(p))
+        elif p <= 0.0:
+            noise.append(_std_gumbel(rng.random()))
+        else:
+            u = min(max(rng.random(), _UNIFORM_FLOOR), _UNIFORM_CEIL)
+            # Gumbel(log p) truncated below `top`, then shifted back to noise
+            log_p = math.log(p)
+            perturbed = log_p - math.log(math.exp(log_p - top) - math.log(u))
+            if perturbed >= top:
+                perturbed = top - 1e-12
+            noise.append(perturbed - log_p)
+    return tuple(noise)
+
+
+def _uniform_given(probs: Sequence[float], obs: int, rng: random.Random) -> float:
+    """A uniform conditioned into the cumulative window of ``obs``
+    (vocabulary order, positive entries), which is exactly its posterior."""
+    width = probs[obs]
+    lo = sum(p for p in probs[:obs] if p > 0.0)
+    u = lo + rng.random() * width
+    if u >= lo + width:  # float round-up would spill into the next token
+        u = math.nextafter(lo + width, lo)
+    return u
+
+
+# noise kind -> (fresh noise, noise given the observed token, pick)
+_NOISE = {
+    "gumbel": (_fresh_gumbel, _gumbel_given, argmax),
+    "uniform": (_fresh_uniform, _uniform_given, draw),
+}
+
+
+def _factual_run(
+    lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int, kind: str
+) -> tuple[TokenSeq, FactualTrace]:
+    fresh, _, pick = _NOISE[kind]
+    rng = make_rng(seed)
+    l = _require_prompt(lm, x)
+    # every position draws noise, prompt and post-EMPTY positions included;
+    # no draw depends on a pick, so drawing all first keeps the stream order
+    entries = tuple(fresh(rng, lm.vocab.size) for _ in range(lm.k))
+    y = forward(lm, x.ids[:l], params, entries[l:], pick)
+    return y, FactualTrace(x.stripped(), y, NoiseRecord(kind, entries), params)
+
+
+def _posterior_noise(
+    lm: ToyLM, x: TokenSeq, y: TokenSeq, params: SamplingParams, seed: int, kind: str
+) -> FactualTrace:
+    """Hindsight noise: fresh at prompt positions, conditioned on the
+    observed token at every later one."""
+    fresh, given, _ = _NOISE[kind]
+    rng = make_rng(seed)
+    l = _require_prompt(lm, x)
+    yp = y.padded(lm.k)
+    if not yp.extends(x):
+        raise InputError("observed output must extend the prompt")
+    ids = yp.ids
+    row = lm.step_law(params).row
+    entries = [fresh(rng, lm.vocab.size) for _ in range(l)]
+    for pos in range(l + 1, lm.k + 1):
+        probs, obs = row(ids[: pos - 1]), ids[pos - 1]
+        if probs[obs] <= 0.0:
+            raise _zero_probability(lm, pos, obs)
+        entries.append(given(probs, obs, rng))
+    return FactualTrace(x.stripped(), yp, NoiseRecord(kind, tuple(entries)), params)
+
+
+def _replay(
+    lm: ToyLM, trace: FactualTrace, x_star: TokenSeq, params: SamplingParams | None, kind: str
+) -> TokenSeq:
+    """Noise is indexed by position, not by context: position i's entry
+    picks from the law at whatever counterfactual context has been built by
+    then. With params omitted, the factual run's params apply."""
+    if trace.noise.kind != kind:
+        raise InputError(f"trace does not carry {kind} noise")
+    params = trace.params if params is None else params
+    l = _require_aligned(lm, trace.x, x_star)
+    return forward(lm, x_star.ids[:l], params, trace.noise.entries[l : lm.k], _NOISE[kind][2])
 
 
 def gumbel_factual_run(
@@ -181,22 +283,7 @@ def gumbel_factual_run(
     """
     if params.truncates and not allow_truncation:
         raise InputError("top_k/top_p break noise-reuse stability; pass allow_truncation=True")
-    rng = make_rng(seed)
-    l = _require_prompt(lm, x)
-    row, size = lm.step_law(params).row, lm.vocab.size
-    ctx = x.ids[:l]
-    entries: list[tuple[float, ...]] = []
-    for pos in range(1, lm.k + 1):
-        g = tuple(_std_gumbel(rng.random()) for _ in range(size))
-        entries.append(g)
-        # the context stops growing at EMPTY; every position still draws noise
-        if pos > l and len(ctx) == pos - 1:
-            t = argmax(row(ctx), g)
-            if t:
-                ctx += (t,)
-    y = output_seq(ctx, lm.k)
-    trace = FactualTrace(x.stripped(), y, NoiseRecord("gumbel", tuple(entries)), params)
-    return y, trace
+    return _factual_run(lm, x, params, seed, "gumbel")
 
 
 def gumbel_posterior_noise(
@@ -207,50 +294,10 @@ def gumbel_posterior_noise(
     seed: int,
     allow_truncation: bool = False,
 ) -> FactualTrace:
-    """Hindsight noise for an externally observed output.
-
-    Per position, samples the Gumbel vector conditioned on the observed
-    token winning the perturbed argmax: the winner's perturbed value is the
-    overall max, every other positive-probability token is truncated below
-    it, and zero-probability tokens are unconstrained.
-    """
+    """Hindsight Gumbel noise for an externally observed output."""
     if params.truncates and not allow_truncation:
         raise InputError("top_k/top_p break noise-reuse stability; pass allow_truncation=True")
-    rng = make_rng(seed)
-    l = _require_prompt(lm, x)
-    yp = y.padded(lm.k)
-    if not yp.extends(x):
-        raise InputError("observed output must extend the prompt")
-    ids = yp.ids
-    row, size = lm.step_law(params).row, lm.vocab.size
-    entries: list[tuple[float, ...]] = []
-    for pos in range(1, lm.k + 1):
-        if pos <= l:
-            entries.append(tuple(_std_gumbel(rng.random()) for _ in range(size)))
-            continue
-        probs = row(ids[: pos - 1])
-        obs = ids[pos - 1]
-        p_obs = probs[obs]
-        if p_obs <= 0.0:
-            raise _zero_probability(lm, pos, obs)
-        z = sum(probs)
-        top = _std_gumbel(rng.random()) + math.log(z)
-        noise = [0.0] * size
-        for i, p in enumerate(probs):
-            if i == obs:
-                noise[i] = top - math.log(p_obs)
-            elif p <= 0.0:
-                noise[i] = _std_gumbel(rng.random())
-            else:
-                u = min(max(rng.random(), _UNIFORM_FLOOR), _UNIFORM_CEIL)
-                # Gumbel(log p) truncated below `top`, then shifted back to noise
-                log_p = math.log(p)
-                perturbed = log_p - math.log(math.exp(log_p - top) - math.log(u))
-                if perturbed >= top:
-                    perturbed = top - 1e-12
-                noise[i] = perturbed - log_p
-        entries.append(tuple(noise))
-    return FactualTrace(x.stripped(), yp, NoiseRecord("gumbel", tuple(entries)), params)
+    return _posterior_noise(lm, x, y, params, seed, "gumbel")
 
 
 def gumbel_cf_sample(
@@ -259,82 +306,22 @@ def gumbel_cf_sample(
     x_star: TokenSeq,
     params: SamplingParams | None = None,
 ) -> TokenSeq:
-    """Reuse the recorded noise at the counterfactual prompt.
-
-    Noise is indexed by position, not by context: position i's Gumbel vector
-    perturbs the next-token law at whatever counterfactual context has been
-    built by then. With params omitted, the factual run's params apply.
-    """
-    if trace.noise.kind != "gumbel":
-        raise InputError("trace does not carry gumbel noise")
-    params = trace.params if params is None else params
-    l = _require_aligned(lm, trace.x, x_star)
-    row = lm.step_law(params).row
-    ctx = x_star.ids[:l]
-    for g in trace.noise.entries[l : lm.k]:
-        t = argmax(row(ctx), g)
-        if not t:
-            break
-        ctx += (t,)
-    return output_seq(ctx, lm.k)
-
-
-# --- inverse transform --------------------------------------------------------
+    """Reuse the recorded Gumbel noise at the counterfactual prompt."""
+    return _replay(lm, trace, x_star, params, "gumbel")
 
 
 def its_factual_run(
     lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int
 ) -> tuple[TokenSeq, FactualTrace]:
     """Sample an output with one uniform per position and record the uniforms."""
-    rng = make_rng(seed)
-    l = _require_prompt(lm, x)
-    row = lm.step_law(params).row
-    ctx = x.ids[:l]
-    entries: list[float] = []
-    for pos in range(1, lm.k + 1):
-        u = rng.random()
-        entries.append(u)
-        # the context stops growing at EMPTY; every position still draws noise
-        if pos > l and len(ctx) == pos - 1:
-            t = draw(row(ctx), u)
-            if t:
-                ctx += (t,)
-    y = output_seq(ctx, lm.k)
-    trace = FactualTrace(x.stripped(), y, NoiseRecord("uniform", tuple(entries)), params)
-    return y, trace
+    return _factual_run(lm, x, params, seed, "uniform")
 
 
 def its_posterior_noise(
     lm: ToyLM, x: TokenSeq, y: TokenSeq, params: SamplingParams, seed: int
 ) -> FactualTrace:
-    """Hindsight uniforms for an observed output.
-
-    The uniform at each position is conditioned into the cumulative window
-    of the observed token (vocabulary order), which is exactly its posterior.
-    """
-    rng = make_rng(seed)
-    l = _require_prompt(lm, x)
-    yp = y.padded(lm.k)
-    if not yp.extends(x):
-        raise InputError("observed output must extend the prompt")
-    ids = yp.ids
-    row = lm.step_law(params).row
-    entries: list[float] = []
-    for pos in range(1, lm.k + 1):
-        if pos <= l:
-            entries.append(rng.random())
-            continue
-        probs = row(ids[: pos - 1])
-        obs = ids[pos - 1]
-        width = probs[obs]
-        if width <= 0.0:
-            raise _zero_probability(lm, pos, obs)
-        lo = sum(p for p in probs[:obs] if p > 0.0)
-        u = lo + rng.random() * width
-        if u >= lo + width:  # float round-up would spill into the next token
-            u = math.nextafter(lo + width, lo)
-        entries.append(u)
-    return FactualTrace(x.stripped(), yp, NoiseRecord("uniform", tuple(entries)), params)
+    """Hindsight uniforms for an externally observed output."""
+    return _posterior_noise(lm, x, y, params, seed, "uniform")
 
 
 def its_cf_sample(
@@ -344,18 +331,7 @@ def its_cf_sample(
     params: SamplingParams | None = None,
 ) -> TokenSeq:
     """Reuse the recorded uniforms at the counterfactual prompt."""
-    if trace.noise.kind != "uniform":
-        raise InputError("trace does not carry uniform noise")
-    params = trace.params if params is None else params
-    l = _require_aligned(lm, trace.x, x_star)
-    row = lm.step_law(params).row
-    ctx = x_star.ids[:l]
-    for u in trace.noise.entries[l : lm.k]:
-        t = draw(row(ctx), u)
-        if not t:
-            break
-        ctx += (t,)
-    return output_seq(ctx, lm.k)
+    return _replay(lm, trace, x_star, params, "uniform")
 
 
 # --- counterfactually stable distribution -------------------------------------
@@ -450,35 +426,15 @@ def stable_cf_dist(
     output always extends x*; with x* = x it collapses to a point mass on y.
     """
     l = _require_aligned(lm, q.x, q.x_star)
-    k = lm.k
-    y = q.y.padded(k).ids
+    y = q.y.padded(lm.k).ids
     row = lm.step_law(params).row
-    factual = [row(y[:i]) for i in range(k)]
-    for pos in range(l + 1, k + 1):
+    factual = [row(y[:i]) for i in range(lm.k)]
+    for pos in range(l + 1, lm.k + 1):
         if factual[pos - 1][y[pos - 1]] <= 0.0:
-            raise ModelError(
-                f"factual output has zero probability at position {pos} under these params"
-            )
-
-    entries: dict[TokenSeq, float] = {}
-    if lm.vocab.size ** (k - l) > cap:
-        raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
-
-    def recurse(ctx: tuple[int, ...], prob: float) -> None:
-        pos = len(ctx) + 1
-        if pos > k:
-            entries[TokenSeq(ctx)] = prob
-            return
-        for t, p in _stable_step(factual[pos - 1], row(ctx), y[pos - 1]):
-            if p <= 0.0:
-                continue
-            if t:
-                recurse(ctx + (t,), prob * p)
-            else:
-                entries[output_seq(ctx, k)] = prob * p
-
-    recurse(q.x_star.ids[:l], 1.0)
-    return DistTable(entries)
+            raise _zero_probability(lm, pos, y[pos - 1])
+    return walk_law(
+        lm, q.x_star.ids[:l], params, lambda i, cf: _stable_step(factual[i], cf, y[i]), cap
+    )
 
 
 def stability_check(

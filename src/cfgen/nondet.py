@@ -725,7 +725,7 @@ def model_from_json(text: str) -> NondetModel:
     if not isinstance(payload, dict):
         raise ModelError("bad model JSON structure: the top level must be an object")
     try:
-        vars_ = tuple(VarSpec(v["name"], tuple(v["domain"])) for v in payload["vars"])
+        vars_ = tuple(VarSpec(v["name"], _domain_from_json(v)) for v in payload["vars"])
         graph = CausalGraph.of(
             [v.name for v in vars_], [(a, b) for a, b in payload["edges"]]
         )
@@ -754,3 +754,13 @@ def model_from_json(text: str) -> NondetModel:
     except (AttributeError, TypeError, ValueError) as e:
         raise ModelError(f"bad model JSON structure: a value has the wrong shape ({e})") from None
     return NondetModel(vars_, graph, cpts)
+
+
+def _domain_from_json(v: dict) -> tuple:
+    domain = v["domain"]
+    if type(domain) is not list or not all(type(d) in (str, int, float) for d in domain):
+        raise ModelError(
+            f"bad model JSON structure: variable {v['name']!r}: "
+            "domain must be a list of strings or numbers"
+        )
+    return tuple(domain)

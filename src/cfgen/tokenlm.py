@@ -19,9 +19,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .dist import DistTable, argmax, draw  # argmax: kept importable from here
+from .dist import DistTable, draw
 from .errors import EnumerationCapError, InputError, ModelError
 from .nondet import DEFAULT_ENUM_CAP, CausalGraph, Cpt, NondetModel, VarSpec
 from .seeding import make_rng
@@ -306,14 +306,6 @@ def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def next_pairs(
-    lm: ToyLM, context: tuple[str, ...], params: SamplingParams
-) -> list[tuple[str, float]]:
-    """Reshaped next-token probabilities in vocabulary order, keyed by token."""
-    ids = tuple(lm.vocab.index(t) for t in context)
-    return list(zip(lm.vocab.tokens, lm.step_law(params).row(ids)))
-
-
 def next_dist(lm: ToyLM, context: TokenSeq, params: SamplingParams) -> DistTable:
     """Distribution of the next token after ``context`` under ``params``.
 
@@ -339,21 +331,49 @@ def output_seq(ids: tuple[int, ...], k: int) -> TokenSeq:
     return TokenSeq(ids + (0,) * (k - len(ids)))
 
 
-def seq_dist(
-    lm: ToyLM, x: TokenSeq, params: SamplingParams, cap: int = DEFAULT_ENUM_CAP
+def forward(
+    lm: ToyLM,
+    ctx: tuple[int, ...],
+    params: SamplingParams,
+    noise: Iterable,
+    pick: Callable[[Sequence[float], object], int],
+) -> TokenSeq:
+    """The forward pass every sampler and replay runs: from context ``ctx``,
+    one position per noise entry, pick ``pick(row, entry)`` from the
+    reshaped row at the context built so far, until EMPTY is picked or the
+    entries run out; the output is padded to length k."""
+    row = lm.step_law(params).row
+    for e in noise:
+        t = pick(row(ctx), e)
+        if not t:
+            break
+        ctx += (t,)
+    return output_seq(ctx, lm.k)
+
+
+def walk_law(
+    lm: ToyLM,
+    ctx: tuple[int, ...],
+    params: SamplingParams,
+    step: Callable[[int, tuple[float, ...]], Iterable[tuple[int, float]]],
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> DistTable:
-    """Exact distribution over padded length-k outputs extending prompt ``x``."""
-    prompt = _prompt_ids(lm, x)
-    if lm.vocab.size ** (lm.k - len(prompt)) > cap:
+    """The exact law every enumerator walks: depth first from context
+    ``ctx``, where position ``i`` (0-based) picks token ``t`` with the
+    probability ``p`` of each pair in ``step(i, row)``, ``row`` being the
+    reshaped row at the context built so far; EMPTY or length k ends an
+    outcome. The cap bounds the V^(k - len(ctx)) tree up front."""
+    k = lm.k
+    if lm.vocab.size ** (k - len(ctx)) > cap:
         raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
-    row, k = lm.step_law(params).row, lm.k
+    row = lm.step_law(params).row
     entries: dict[TokenSeq, float] = {}
 
     def recurse(ctx: tuple[int, ...], prob: float) -> None:
         if len(ctx) == k:
             entries[TokenSeq(ctx)] = prob
             return
-        for t, p in enumerate(row(ctx)):
+        for t, p in step(len(ctx), row(ctx)):
             if p <= 0.0:
                 continue
             if t:
@@ -361,21 +381,23 @@ def seq_dist(
             else:
                 entries[output_seq(ctx, k)] = prob * p
 
-    recurse(prompt, 1.0)
+    recurse(ctx, 1.0)
     return DistTable(entries)
+
+
+def seq_dist(
+    lm: ToyLM, x: TokenSeq, params: SamplingParams, cap: int = DEFAULT_ENUM_CAP
+) -> DistTable:
+    """Exact distribution over padded length-k outputs extending prompt ``x``."""
+    return walk_law(lm, _prompt_ids(lm, x), params, lambda i, row: enumerate(row), cap)
 
 
 def sample_output(lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int) -> TokenSeq:
     """One autoregressive draw; a pure function of (model, prompt, params, seed)."""
     rng = make_rng(seed)
     ctx = _prompt_ids(lm, x)
-    row = lm.step_law(params).row
-    while len(ctx) < lm.k:
-        t = draw(row(ctx), rng.random())
-        if not t:
-            break
-        ctx += (t,)
-    return output_seq(ctx, lm.k)
+    # the generator is private, so uniforms left over after EMPTY change nothing
+    return forward(lm, ctx, params, [rng.random() for _ in range(lm.k - len(ctx))], draw)
 
 
 def zero_temp_fn(lm: ToyLM, x: TokenSeq) -> TokenSeq:

@@ -108,8 +108,25 @@ class TestValidate:
                 '{"vars": [{"name": "X", "domain": ["0"]}], "edges": [], "cpts": []}',
                 "a value has the wrong shape ('list' object has no attribute 'items')",
             ),
+            (
+                '{"vars": [{"name": "X", "domain": "01"}], "edges": []}',
+                "variable 'X': domain must be a list of strings or numbers",
+            ),
+            (
+                '{"vars": [{"name": "X", "domain": [[1], [2]]}], "edges": []}',
+                "variable 'X': domain must be a list of strings or numbers",
+            ),
         ],
-        ids=["list", "no_vars", "no_domain", "int_vars", "short_edge", "list_cpts"],
+        ids=[
+            "list",
+            "no_vars",
+            "no_domain",
+            "int_vars",
+            "short_edge",
+            "list_cpts",
+            "string_domain",
+            "list_values",
+        ],
     )
     def test_bad_structure_is_named_in_words(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.json"
@@ -376,6 +393,32 @@ class TestCounterfactual:
             capsys,
         )
         assert code == EXIT_MODEL
+        assert err == "error (model): observed output has zero probability at position 2 (token 'p')\n"
+
+    @pytest.mark.parametrize("method", ["simple", "stable", "gumbel", "its"])
+    def test_empty_factual_output_is_config_error(self, capsys, fixture_dir, method):
+        code, out, err = run(
+            [
+                "counterfactual",
+                "--model",
+                str(fixture_dir / "lm3.json"),
+                "--prompt",
+                "a",
+                "--cf-prompt",
+                "b",
+                "--method",
+                method,
+                "--factual-output",
+                "",
+                "--samples",
+                "1",
+                "--seed",
+                "0",
+            ],
+            capsys,
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error (config): factual output must extend the factual prompt\n"
 
     def test_byte_identical_outputs(self, fixture_dir, tmp_path, capsys):
         args = [

@@ -92,12 +92,8 @@ def test_checker_sees_every_import_form(tmp_path):
 
 
 def test_moved_names_still_resolve():
-    import cfgen.dist
     import cfgen.nondet
     import cfgen.oracle
-    import cfgen.tokenlm
 
-    assert cfgen.tokenlm.draw is cfgen.dist.draw
-    assert cfgen.tokenlm.argmax is cfgen.dist.argmax
     assert cfgen.oracle.VerificationReport is cfgen.nondet.VerificationReport
     assert cfgen.VerificationReport is cfgen.nondet.VerificationReport

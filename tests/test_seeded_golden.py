@@ -13,6 +13,7 @@ file only when such a change is intended, and record it in CHANGES.md:
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -30,12 +31,37 @@ from cfgen.generators import (
     stability_check,
     stable_cf_dist,
 )
+from cfgen.oracle import random_table_lm
 from cfgen.tokenlm import SamplingParams, sample_output, seq_dist
 
 GOLDEN = Path(__file__).resolve().parent / "golden_seeded.json"
-MODELS = {"lm3": (lm3_model, "a", "b"), "lm_asym": (asymmetric_lm, "p", "q")}
-PARAMS = {"t1": SamplingParams(), "t0_5": SamplingParams(temperature=0.5)}
 SEEDS = range(10)
+
+
+def _random_lm():
+    return random_table_lm(random.Random(7), 5, 4)
+
+
+# case -> (model factory, factual prompt, counterfactual prompt, params); the
+# random model's two-token prompts pin the noise entries after a longer prompt
+CASES = {
+    f"{name}/{label}": (make, [x_tok], [xs_tok], params)
+    for name, make, x_tok, xs_tok in (
+        ("lm3", lm3_model, "a", "b"),
+        ("lm_asym", asymmetric_lm, "p", "q"),
+    )
+    for label, params in (("t1", SamplingParams()), ("t0_5", SamplingParams(temperature=0.5)))
+}
+CASES.update(
+    {
+        f"rand_v5k4/{plabel}/{label}": (_random_lm, x_toks, xs_toks, params)
+        for plabel, x_toks, xs_toks in (("l1", ["a"], ["c"]), ("l2", ["a", "b"], ["c", "a"]))
+        for label, params in (
+            ("topk2", SamplingParams(top_k=2)),
+            ("topp0_9", SamplingParams(top_p=0.9)),
+        )
+    }
+)
 
 
 def _law(d) -> list[list]:
@@ -43,8 +69,9 @@ def _law(d) -> list[list]:
 
 
 def _seeded(lm, x, x_star, params, seed) -> dict:
-    y_g, g_trace = gumbel_factual_run(lm, x, params, seed)
-    g_post = gumbel_posterior_noise(lm, x, y_g, params, seed)
+    # truncation is allowed so the truncated cases pin the gumbel path too
+    y_g, g_trace = gumbel_factual_run(lm, x, params, seed, allow_truncation=True)
+    g_post = gumbel_posterior_noise(lm, x, y_g, params, seed, allow_truncation=True)
     y_i, i_trace = its_factual_run(lm, x, params, seed)
     i_post = its_posterior_noise(lm, x, y_i, params, seed)
     y_star = gumbel_cf_sample(lm, g_trace, x_star)
@@ -62,19 +89,18 @@ def _seeded(lm, x, x_star, params, seed) -> dict:
 
 def golden_values() -> dict:
     out: dict = {}
-    for name, (make, x_tok, xs_tok) in MODELS.items():
+    for case, (make, x_toks, xs_toks, params) in CASES.items():
         lm = make()
-        x, x_star = lm.vocab.seq([x_tok]), lm.vocab.seq([xs_tok])
-        for label, params in PARAMS.items():
-            factual = seq_dist(lm, x, params)
-            out[f"{name}/{label}"] = {
-                "seq_dist": _law(seq_dist(lm, x_star, params)),
-                "stable_cf_dist": [
-                    _law(stable_cf_dist(lm, CfQuery(x, y, x_star), params))
-                    for y in sorted(factual.support, key=lambda s: s.ids)
-                ],
-                "seeded": [_seeded(lm, x, x_star, params, seed) for seed in SEEDS],
-            }
+        x, x_star = lm.vocab.seq(x_toks), lm.vocab.seq(xs_toks)
+        factual = seq_dist(lm, x, params)
+        out[case] = {
+            "seq_dist": _law(seq_dist(lm, x_star, params)),
+            "stable_cf_dist": [
+                _law(stable_cf_dist(lm, CfQuery(x, y, x_star), params))
+                for y in sorted(factual.support, key=lambda s: s.ids)
+            ],
+            "seeded": [_seeded(lm, x, x_star, params, seed) for seed in SEEDS],
+        }
     return out
 
 
@@ -88,16 +114,34 @@ def current() -> dict:
     return golden_values()
 
 
-@pytest.mark.parametrize("case", [f"{m}/{p}" for m in MODELS for p in PARAMS])
+@pytest.mark.parametrize("case", CASES)
 def test_exact_laws_match_golden(case, golden, current):
     assert current[case]["seq_dist"] == golden[case]["seq_dist"]
     assert current[case]["stable_cf_dist"] == golden[case]["stable_cf_dist"]
 
 
-@pytest.mark.parametrize("case", [f"{m}/{p}" for m in MODELS for p in PARAMS])
+@pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_seeded_outputs_match_golden(case, seed, golden, current):
     assert current[case]["seeded"][seed] == golden[case]["seeded"][seed]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_exact_laws_list_outcomes_depth_first(case):
+    """The golden laws are compared sorted; this pins their entry order.
+
+    The walk visits children in id order and EMPTY is id 0, so depth-first
+    order is ascending order of the padded ids. Sums over a law's entries
+    run in that order.
+    """
+    make, x_toks, xs_toks, params = CASES[case]
+    lm = make()
+    x, x_star = lm.vocab.seq(x_toks), lm.vocab.seq(xs_toks)
+    factual = seq_dist(lm, x, params)
+    laws = [seq_dist(lm, x_star, params)]
+    laws += [stable_cf_dist(lm, CfQuery(x, y, x_star), params) for y in factual.support]
+    for law in laws:
+        assert list(law.entries) == sorted(law.entries, key=lambda s: s.ids)
 
 
 if __name__ == "__main__":

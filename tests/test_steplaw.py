@@ -18,6 +18,7 @@ import weakref
 
 import pytest
 
+from cfgen.dist import argmax, draw
 from cfgen.errors import InputError, ModelError
 from cfgen.fixtures import asymmetric_lm, lm3_model
 from cfgen.generators import (
@@ -31,7 +32,7 @@ from cfgen.generators import (
 )
 from cfgen.oracle import random_table_lm
 from cfgen.seeding import make_rng
-from cfgen.tokenlm import SamplingParams, argmax, draw, sample_output, seq_dist
+from cfgen.tokenlm import SamplingParams, sample_output, seq_dist
 
 PARAMS = (
     SamplingParams(),

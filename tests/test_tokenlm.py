@@ -37,7 +37,6 @@ from cfgen.tokenlm import (
     lm_from_json,
     lm_to_json,
     next_dist,
-    next_pairs,
     sample_output,
     seq_dist,
     zero_temp_fn,
@@ -172,9 +171,9 @@ class TestNextDist:
 )
 def test_reshaping_always_normalizes(temp, top_k, top_p):
     lm = one_step_lm({"</e>": 0.1, "a": 0.6, "b": 0.3})
-    pairs = next_pairs(lm, (), SamplingParams(temp, top_k, top_p))
-    assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-9)
-    assert all(p >= 0.0 for _, p in pairs)
+    row = lm.step_law(SamplingParams(temp, top_k, top_p)).row(())
+    assert sum(row) == pytest.approx(1.0, abs=1e-9)
+    assert all(p >= 0.0 for p in row)
 
 
 class TestSeqDist:
