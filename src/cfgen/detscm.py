@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .dist import DistTable, argmax, draw
+from .dist import DistTable, argmax, draw, left_sum, log_row
 from .errors import EnumerationCapError, InputError, ModelError
 from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World
 
@@ -118,7 +118,7 @@ def det_conditional(m: DetSCM, v: World, r: World | None = None) -> float:
         r = v.restrict(m.roots)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
-    return sum(p for u, p in m.p_u.items() if m.apply(u, r) == v)
+    return left_sum(p for u, p in m.p_u.items() if m.apply(u, r) == v)
 
 
 def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
@@ -298,8 +298,8 @@ class BoundsResult:
 
 def _query_value(scm: CanonicalBinarySCM, query: BinaryCfQuery) -> float:
     consistent = [i for i in range(4) if _RESPONSES[i](query.x) == query.y]
-    den = sum(scm.u_weights[i] for i in consistent)
-    num = sum(
+    den = left_sum(scm.u_weights[i] for i in consistent)
+    num = left_sum(
         scm.u_weights[i] for i in consistent if _RESPONSES[i](query.x_star) == query.y_star
     )
     if den <= 0.0:
@@ -493,7 +493,7 @@ def _exogenize_gumbel(
     order: Sequence[Hashable],
     contexts: tuple[Hashable, ...],
 ) -> ExoFragment:
-    rows = {ctx: [d.prob(t) for t in order] for ctx, d in steps.items()}
+    logs = {ctx: log_row(d.prob(t) for t in order) for ctx, d in steps.items()}
 
     def respond(u: Hashable, ctx: Hashable) -> Hashable:
         noise = tuple(u)
@@ -501,7 +501,7 @@ def _exogenize_gumbel(
             raise InputError("noise vector length must match the outcome ordering")
         if not all(math.isfinite(g) for g in noise):
             raise InputError("gumbel noise must be finite")
-        return order[argmax(rows[ctx], noise)]
+        return order[argmax(logs[ctx], noise)]
 
     return ExoFragment("gumbel", contexts, None, None, respond)
 

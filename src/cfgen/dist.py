@@ -4,21 +4,40 @@
 hashable outcomes to probabilities, validated to be nonnegative and (unless
 explicitly flagged) normalized to 1 within ``NORM_TOL``.
 
-``draw`` (inverse CDF) and ``argmax`` (perturbed argmax) pick an index from
-a row of probabilities given its noise. The samplers, the noise-reuse
-replays and ``exogenize``'s inverse-transform and Gumbel responses all pick
-through these two.
+``draw`` (inverse CDF) picks an index from a row of probabilities given a
+uniform, and ``argmax`` (perturbed argmax) picks one from a row of
+log-probabilities (``log_row``) given a Gumbel vector. The samplers, the
+noise-reuse replays and ``exogenize``'s inverse-transform and Gumbel
+responses all pick through these two.
+
+``left_sum`` is the one float sum behind every total that reaches output.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ModelError
 
 NORM_TOL = 1e-9
+_NEG_INF = -math.inf  # one shared float for the zero entries of every log row
+
+if sys.version_info >= (3, 12):
+
+    def left_sum(values: Iterable[float]) -> float:
+        """Plain left-to-right float sum. From Python 3.12 the builtin
+        ``sum`` compensates float rounding, so seeded bytes would change
+        with the interpreter; this keeps them as 3.10 and 3.11 give them."""
+        acc = 0
+        for v in values:
+            acc += v
+        return acc
+
+else:
+    left_sum = sum  # plain left to right before 3.12
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +94,7 @@ class DistTable:
 
     @property
     def total(self) -> float:
-        return sum(self.entries.values())
+        return left_sum(self.entries.values())
 
     @property
     def is_point_mass(self) -> bool:
@@ -103,7 +122,7 @@ class DistTable:
 def tvd(a: DistTable, b: DistTable) -> float:
     """Total variation distance: half the L1 distance over the union support."""
     outcomes = set(a.entries) | set(b.entries)
-    return 0.5 * sum(abs(a.prob(o) - b.prob(o)) for o in outcomes)
+    return 0.5 * left_sum(abs(a.prob(o) - b.prob(o)) for o in outcomes)
 
 
 def max_abs_diff(a: DistTable, b: DistTable) -> float:
@@ -138,14 +157,20 @@ def draw(probs: Sequence[float], u: float) -> int:
     return last
 
 
-def argmax(probs: Sequence[float], gumbels: Sequence[float]) -> int:
-    """Perturbed argmax: the index maximizing log p + g over the positive
-    entries, the lowest index on ties."""
-    best, best_score = -1, -math.inf
-    for i, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        score = math.log(p) + gumbels[i]
+def log_row(probs: Iterable[float]) -> tuple[float, ...]:
+    """Log-probabilities, with -inf for the zero entries."""
+    log = math.log
+    return tuple([log(p) if p > 0.0 else _NEG_INF for p in probs])
+
+
+def argmax(logs: Sequence[float], gumbels: Sequence[float]) -> int:
+    """Perturbed argmax over a ``log_row``: the index maximizing log p + g
+    over the positive entries, the lowest index on ties."""
+    # a zero entry scores -inf (or NaN against infinite noise), which never
+    # beats the starting -inf, so zeros need no test of their own
+    best, best_score = -1, _NEG_INF
+    for i, lp in enumerate(logs):
+        score = lp + gumbels[i]
         if score > best_score:
             best, best_score = i, score
     if best < 0:

@@ -28,14 +28,16 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dist import DistTable, argmax, draw
+from .dist import DistTable, argmax, draw, left_sum
 from .errors import InputError, ModelError
 from .nondet import DEFAULT_ENUM_CAP
 from .seeding import make_rng
 from .tokenlm import SamplingParams, TokenSeq, ToyLM, forward, sample_output, seq_dist, walk_law
 
+# ``random()`` returns multiples of 2**-53 below 1, so its largest value
+# 1 - 2**-53 already keeps -log(-log(u)) finite; only u = 0.0 needs a floor
 _UNIFORM_FLOOR = 1e-300
-_UNIFORM_CEIL = 1.0 - 1e-16
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -160,77 +162,89 @@ def _zero_probability(lm: ToyLM, pos: int, token_id: int) -> ModelError:
     )
 
 
-def _std_gumbel(u: float) -> float:
-    u = min(max(u, _UNIFORM_FLOOR), _UNIFORM_CEIL)
-    return -math.log(-math.log(u))
-
-
 # --- noise reuse: gumbel and inverse transform ---------------------------------
 #
 # The two methods share three routines and differ only in their noise kind:
 # how one position's noise is drawn fresh, how it is drawn given the token
-# observed there, and how a token is picked from a row given its noise.
+# observed there, and how a token is picked given its noise. Gumbel noise
+# works on the step law's ``logs`` view of a row, uniforms on the row.
 
 
 def _fresh_gumbel(rng: random.Random, size: int) -> tuple[float, ...]:
-    return tuple(_std_gumbel(rng.random()) for _ in range(size))
+    r, log = rng.random, math.log
+    return tuple([-log(-log(r() or _UNIFORM_FLOOR)) for _ in range(size)])
 
 
 def _fresh_uniform(rng: random.Random, size: int) -> float:
     return rng.random()
 
 
-def _gumbel_given(probs: Sequence[float], obs: int, rng: random.Random) -> tuple[float, ...]:
+def _gumbel_given(
+    view: tuple[Sequence[float], float], obs: int, rng: random.Random
+) -> tuple[float, ...] | None:
     """A Gumbel vector conditioned on ``obs`` winning the perturbed argmax:
     the winner's perturbed value is the overall max, every other
     positive-probability token is truncated below it, and zero-probability
-    tokens are unconstrained."""
-    top = _std_gumbel(rng.random()) + math.log(sum(probs))
+    tokens are unconstrained. ``view`` is ``StepLaw.logs``; None, with no
+    draw made, when ``obs`` has zero probability."""
+    logs, log_total = view
+    if logs[obs] == _NEG_INF:
+        return None
+    r, log, exp = rng.random, math.log, math.exp
+    top = -log(-log(r() or _UNIFORM_FLOOR)) + log_total
     noise = []
-    for i, p in enumerate(probs):
+    for i, lp in enumerate(logs):
         if i == obs:
-            noise.append(top - math.log(p))
-        elif p <= 0.0:
-            noise.append(_std_gumbel(rng.random()))
+            noise.append(top - lp)
+        elif lp == _NEG_INF:
+            noise.append(-log(-log(r() or _UNIFORM_FLOOR)))
         else:
-            u = min(max(rng.random(), _UNIFORM_FLOOR), _UNIFORM_CEIL)
             # Gumbel(log p) truncated below `top`, then shifted back to noise
-            log_p = math.log(p)
-            perturbed = log_p - math.log(math.exp(log_p - top) - math.log(u))
+            perturbed = lp - log(exp(lp - top) - log(r() or _UNIFORM_FLOOR))
             if perturbed >= top:
                 perturbed = top - 1e-12
-            noise.append(perturbed - log_p)
+            noise.append(perturbed - lp)
     return tuple(noise)
 
 
-def _uniform_given(probs: Sequence[float], obs: int, rng: random.Random) -> float:
+def _uniform_given(probs: Sequence[float], obs: int, rng: random.Random) -> float | None:
     """A uniform conditioned into the cumulative window of ``obs``
-    (vocabulary order, positive entries), which is exactly its posterior."""
+    (vocabulary order, positive entries), which is exactly its posterior;
+    None, with no draw made, when ``obs`` has zero probability."""
     width = probs[obs]
-    lo = sum(p for p in probs[:obs] if p > 0.0)
+    if width <= 0.0:
+        return None
+    lo = 0.0  # the running sum ``draw`` crosses, up to ``obs``
+    for p in probs[:obs]:
+        if p > 0.0:
+            lo += p
     u = lo + rng.random() * width
     if u >= lo + width:  # float round-up would spill into the next token
         u = math.nextafter(lo + width, lo)
     return u
 
 
-# noise kind -> (fresh noise, noise given the observed token, pick)
+def _argmax_logs(view: tuple[Sequence[float], float], gumbels: Sequence[float]) -> int:
+    return argmax(view[0], gumbels)
+
+
+# noise kind -> (fresh noise, noise given the observed token, pick, step-law view)
 _NOISE = {
-    "gumbel": (_fresh_gumbel, _gumbel_given, argmax),
-    "uniform": (_fresh_uniform, _uniform_given, draw),
+    "gumbel": (_fresh_gumbel, _gumbel_given, _argmax_logs, "logs"),
+    "uniform": (_fresh_uniform, _uniform_given, draw, "row"),
 }
 
 
 def _factual_run(
     lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int, kind: str
 ) -> tuple[TokenSeq, FactualTrace]:
-    fresh, _, pick = _NOISE[kind]
+    fresh, _, pick, view = _NOISE[kind]
     rng = make_rng(seed)
     l = _require_prompt(lm, x)
     # every position draws noise, prompt and post-EMPTY positions included;
     # no draw depends on a pick, so drawing all first keeps the stream order
     entries = tuple(fresh(rng, lm.vocab.size) for _ in range(lm.k))
-    y = forward(lm, x.ids[:l], params, entries[l:], pick)
+    y = forward(lm, x.ids[:l], params, entries[l:], pick, view)
     return y, FactualTrace(x.stripped(), y, NoiseRecord(kind, entries), params)
 
 
@@ -239,20 +253,21 @@ def _posterior_noise(
 ) -> FactualTrace:
     """Hindsight noise: fresh at prompt positions, conditioned on the
     observed token at every later one."""
-    fresh, given, _ = _NOISE[kind]
+    fresh, given, _, view = _NOISE[kind]
     rng = make_rng(seed)
     l = _require_prompt(lm, x)
     yp = y.padded(lm.k)
     if not yp.extends(x):
         raise InputError("observed output must extend the prompt")
     ids = yp.ids
-    row = lm.step_law(params).row
+    at = getattr(lm.step_law(params), view)
     entries = [fresh(rng, lm.vocab.size) for _ in range(l)]
     for pos in range(l + 1, lm.k + 1):
-        probs, obs = row(ids[: pos - 1]), ids[pos - 1]
-        if probs[obs] <= 0.0:
+        obs = ids[pos - 1]
+        e = given(at(ids[: pos - 1]), obs, rng)
+        if e is None:
             raise _zero_probability(lm, pos, obs)
-        entries.append(given(probs, obs, rng))
+        entries.append(e)
     return FactualTrace(x.stripped(), yp, NoiseRecord(kind, tuple(entries)), params)
 
 
@@ -266,7 +281,8 @@ def _replay(
         raise InputError(f"trace does not carry {kind} noise")
     params = trace.params if params is None else params
     l = _require_aligned(lm, trace.x, x_star)
-    return forward(lm, x_star.ids[:l], params, trace.noise.entries[l : lm.k], _NOISE[kind][2])
+    _, _, pick, view = _NOISE[kind]
+    return forward(lm, x_star.ids[:l], params, trace.noise.entries[l : lm.k], pick, view)
 
 
 def gumbel_factual_run(
@@ -362,7 +378,7 @@ def _stable_step(
     """The counterfactual row restricted to the unbarred indices, renormalized."""
     barred = _barred(factual, cf, obs)
     kept = [(t, p) for t, p in enumerate(cf) if p > 0.0 and t not in barred]
-    mass = sum(p for _, p in kept)
+    mass = left_sum(p for _, p in kept)
     # Some mass is always left. ``obs`` is never in its own barred set, so if
     # cf[obs] > 0 it is kept. If not, its ratio is 0, while every index with
     # cf mass has a ratio above 0 (factual entries are at most 1, so

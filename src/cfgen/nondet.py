@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .dist import DistTable
+from .dist import DistTable, left_sum
 from .errors import EnumerationCapError, InputError, ModelError
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -384,8 +384,10 @@ def validate_model(m: NondetModel) -> ValidationReport:
         expected = set(itertools.product(*parent_domains))
         got = set(cpt.rows)
         if got != expected:
+            stray = len(got - expected)
             problems.append(
-                f"{v.name}: rows cover {len(got)} of {len(expected)} parent combinations"
+                f"{v.name}: rows cover {len(got & expected)} of {len(expected)} parent "
+                "combinations" + (f"; rows for unknown combinations: {stray}" if stray else "")
             )
         child_domain = set(v.domain)
         deterministic = 0
@@ -730,19 +732,22 @@ def model_from_json(text: str) -> NondetModel:
             [v.name for v in vars_], [(a, b) for a, b in payload["edges"]]
         )
         domains = {v.name: v.domain for v in vars_}
+        # row keys are text: each part names a parent value by its ``str``
+        by_text = {name: {str(d): d for d in domain} for name, domain in domains.items()}
         cpts: dict[str, Cpt] = {}
         for child, block in payload.get("cpts", {}).items():
             parents = tuple(block["parents"])
             rows: dict[tuple, DistTable] = {}
             for key, probs in block["rows"].items():
-                values = tuple(key.split(",")) if key else ()
-                if len(values) != len(parents):
+                parts = key.split(",") if key else ()
+                if len(parts) != len(parents):
                     raise ModelError(f"{child}: row key {key!r} does not match parents")
+                values = tuple(by_text.get(p, {}).get(t, t) for p, t in zip(parents, parts))
                 if child not in domains:
                     raise ModelError(f"table for unknown variable {child!r}")
                 if len(probs) != len(domains[child]):
                     raise ModelError(f"{child}: row {key!r} has wrong arity")
-                total = sum(probs)
+                total = left_sum(probs)
                 if not abs(total - 1.0) <= ROW_SUM_TOL:  # NaN-safe
                     raise ModelError(f"{child}: row {key!r} not normalized (sum={total!r})")
                 rows[values] = DistTable(dict(zip(domains[child], probs)))
@@ -762,5 +767,14 @@ def _domain_from_json(v: dict) -> tuple:
         raise ModelError(
             f"bad model JSON structure: variable {v['name']!r}: "
             "domain must be a list of strings or numbers"
+        )
+    # CPT row keys join values with commas, so each value needs its own
+    # comma-free text; exact repeats are left for ``validate_model`` to report
+    distinct = set(domain)
+    texts = {str(d) for d in distinct}
+    if len(texts) != len(distinct) or any("," in t for t in texts):
+        raise ModelError(
+            f"bad model JSON structure: variable {v['name']!r}: "
+            "domain values must have distinct text with no comma"
         )
     return tuple(domain)

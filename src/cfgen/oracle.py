@@ -27,7 +27,7 @@ import itertools
 import random
 from typing import Callable, Hashable
 
-from .dist import DistTable, draw, max_abs_diff
+from .dist import DistTable, draw, left_sum, max_abs_diff
 from .detscm import DetSCM, det_conditional, det_counterfactual, to_nondet_when_u_irrelevant
 from .detscm import BinaryCfQuery, CanonicalBinarySCM, counterfactual_bounds_binary
 from .detscm import simple_binary_answer
@@ -131,7 +131,7 @@ def random_nondet_model(
         rows: dict[tuple, DistTable] = {}
         for combo in itertools.product(*(domains[p] for p in parent_order)):
             weights = [rng.random() + 1e-9 for _ in v.domain]
-            z = sum(weights)
+            z = left_sum(weights)
             rows[combo] = DistTable({val: w / z for val, w in zip(v.domain, weights)})
         cpts[v.name] = Cpt(v.name, parent_order, rows)
     return NondetModel(vars_, graph, cpts)
@@ -177,7 +177,7 @@ def random_u_independent_scm(rng: random.Random) -> DetSCM:
         World.of({"U": u}): dict(shared) for u in exo[0].domain
     }
     weights = [rng.random() + 1e-9 for _ in exo[0].domain]
-    z = sum(weights)
+    z = left_sum(weights)
     p_u = DistTable({World.of({"U": u}): w / z for u, w in zip(exo[0].domain, weights)})
     return DetSCM(endo, exo, graph, responses, p_u)
 
@@ -191,7 +191,7 @@ def random_table_lm(rng: random.Random, vocab_size: int, k: int) -> ToyLM:
     for length in range(k):
         for ctx in itertools.product(vocab.real_tokens, repeat=length):
             weights = [rng.random() + 1e-9 for _ in tokens]
-            z = sum(weights)
+            z = left_sum(weights)
             table[ctx] = DistTable({t: w / z for t, w in zip(tokens, weights)})
     return ToyLM(vocab, k, "table", table=table)
 
@@ -381,7 +381,7 @@ def verify_canonical_binary(p: float = 0.3, q: float = 0.7) -> VerificationRepor
     for label, scm in (("choice_hi", choice_hi), ("choice_lo", choice_lo)):
         m = scm.to_detscm()
         dist = det_counterfactual(m, World.of({"X": 1, "Y": 1}), World.of({"X": 0}))
-        values[label] = sum(pr for w, pr in dist.items() if w["Y"] == 0)
+        values[label] = left_sum(pr for w, pr in dist.items() if w["Y"] == 0)
         notes.append(f"{label}: weights {scm.u_weights}, positivity {m.positivity_note()}")
     if values["choice_hi"] != 1.0 or values["choice_lo"] != 0.0:
         counterexample = {"flip_query_values": values}

@@ -19,9 +19,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .dist import DistTable, draw
+from .dist import DistTable, draw, left_sum, log_row
 from .errors import EnumerationCapError, InputError, ModelError
 from .nondet import DEFAULT_ENUM_CAP, CausalGraph, Cpt, NondetModel, VarSpec
 from .seeding import make_rng
@@ -141,18 +141,24 @@ class TokenSeq:
         return self.ids == other.ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingParams:
     """User-side reshaping knobs: temperature, top-k, top-p.
 
     Temperature 0 means exact argmax mode (lowest-index tie-break), handled
     as its own branch rather than a small-temperature limit. A positive
     temperature must be finite with a finite reciprocal.
+
+    The hash is worked out once, at construction, since every step-law
+    lookup takes it. It reads an unset knob as 0, which no set knob can
+    be, because ``hash(None)`` differs between processes before Python
+    3.12 and a pickled instance keeps its hash.
     """
 
     temperature: float = 1.0
     top_k: int | None = None
     top_p: float | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.temperature):
@@ -165,6 +171,11 @@ class SamplingParams:
             raise InputError("top_k must be a positive integer")
         if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
             raise InputError("top_p must lie in (0, 1]")
+        key = (self.temperature, self.top_k or 0, self.top_p or 0)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def truncates(self) -> bool:
@@ -219,9 +230,15 @@ class StepLaw:
     token in vocabulary order. Rows of EMPTY-free contexts are memoized by
     id tuple, probabilities only; contexts holding EMPTY absorb into one
     shared point-mass row that is not stored.
+
+    ``logs(ctx)`` is the Gumbel path's view of the same row, memoized in a
+    second table that only that path fills, so the exact-law walks pay
+    nothing for it.
     """
 
-    __slots__ = ("params", "_tokens", "_kind", "_table", "_bigram", "_unigram", "_point", "_rows")
+    __slots__ = (
+        "params", "_tokens", "_kind", "_table", "_bigram", "_unigram", "_point", "_rows", "_logs"
+    )
 
     def __init__(self, lm: ToyLM, params: SamplingParams) -> None:
         # copies what the rows need: holding ``lm`` would make a reference
@@ -233,6 +250,7 @@ class StepLaw:
         )
         self._point = (1.0,) + (0.0,) * (len(self._tokens) - 1)
         self._rows: dict[tuple[int, ...], tuple[float, ...]] = {}
+        self._logs: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
 
     def row(self, ctx: tuple[int, ...]) -> tuple[float, ...]:
         probs = self._rows.get(ctx)
@@ -243,6 +261,18 @@ class StepLaw:
             probs = _reshape([base.prob(t) for t in self._tokens], self.params)
             self._rows[ctx] = probs
         return probs
+
+    def logs(self, ctx: tuple[int, ...]) -> tuple[tuple[float, ...], float]:
+        """``(log_row(row(ctx)), log(left_sum(row(ctx))))``, filled on first
+        use; contexts holding EMPTY share the one entry under ``(0,)``."""
+        view = self._logs.get(ctx)
+        if view is None:
+            key = (0,) if 0 in ctx else ctx
+            view = self._logs.get(key)
+            if view is None:
+                probs = self.row(key)
+                view = self._logs[key] = (log_row(probs), math.log(left_sum(probs)))
+        return view
 
     def _base(self, context: tuple[str, ...]) -> DistTable:
         """The model's own row for an EMPTY-free context."""
@@ -271,17 +301,17 @@ def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
     if params.temperature != 1.0:
         # p^(1/T) renormalized, in log space so tiny temperatures do not underflow
         inv = 1.0 / params.temperature
-        logs = [math.log(p) if p > 0.0 else -math.inf for p in probs]
+        logs = log_row(probs)
         top = max(logs)
         probs = [math.exp((lg - top) * inv) if lg > -math.inf else 0.0 for lg in logs]
-        z = sum(probs)
+        z = left_sum(probs)
         probs = [p / z for p in probs]
 
     if params.top_k is not None:
         ranked = sorted(range(n), key=lambda i: (-probs[i], i))
         keep = set(ranked[: params.top_k])
         probs = [p if i in keep else 0.0 for i, p in enumerate(probs)]
-        z = sum(probs)
+        z = left_sum(probs)
         if z <= 0.0:
             raise ModelError("top-k removed all probability mass")
         probs = [p / z for p in probs]
@@ -298,7 +328,7 @@ def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
             if acc >= params.top_p:
                 break
         probs = [p if i in keep else 0.0 for i, p in enumerate(probs)]
-        z = sum(probs)
+        z = left_sum(probs)
         if z <= 0.0:
             raise ModelError("top-p removed all probability mass")
         probs = [p / z for p in probs]
@@ -336,15 +366,17 @@ def forward(
     ctx: tuple[int, ...],
     params: SamplingParams,
     noise: Iterable,
-    pick: Callable[[Sequence[float], object], int],
+    pick: Callable[[object, object], int],
+    view: str = "row",
 ) -> TokenSeq:
     """The forward pass every sampler and replay runs: from context ``ctx``,
-    one position per noise entry, pick ``pick(row, entry)`` from the
-    reshaped row at the context built so far, until EMPTY is picked or the
-    entries run out; the output is padded to length k."""
-    row = lm.step_law(params).row
+    one position per noise entry, pick ``pick(law.<view>(ctx), entry)``
+    from the step law's view (``row`` or ``logs``) of the context built so
+    far, until EMPTY is picked or the entries run out; the output is padded
+    to length k."""
+    at = getattr(lm.step_law(params), view)
     for e in noise:
-        t = pick(row(ctx), e)
+        t = pick(at(ctx), e)
         if not t:
             break
         ctx += (t,)
@@ -538,7 +570,7 @@ def lm_from_json(text: str) -> ToyLM:
 def _row_from_probs(vocab: Vocab, where: str, probs: list) -> DistTable:
     if len(probs) != vocab.size:
         raise ModelError(f"row {where!r} has {len(probs)} entries, expected {vocab.size}")
-    total = sum(probs)
+    total = left_sum(probs)
     if not abs(total - 1.0) <= 1e-9:  # NaN-safe
         raise ModelError(f"row {where!r} not normalized (sum={total!r})")
     if any(p < 0 for p in probs):

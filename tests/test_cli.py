@@ -72,6 +72,20 @@ class TestValidate:
         assert code == EXIT_MODEL
         assert any("cycle" in p for p in json.loads(out)["problems"])
 
+    def test_numeric_domains(self, capsys, tmp_path):
+        model = tmp_path / "numeric.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "vars": [{"name": "X", "domain": [0, 1]}, {"name": "Y", "domain": [0, 1]}],
+                    "edges": [["X", "Y"]],
+                    "cpts": {"Y": {"parents": ["X"], "rows": {"0": [0.5, 0.5], "1": [0.2, 0.8]}}},
+                }
+            )
+        )
+        code, out, _ = run(["validate", "--model", str(model)], capsys)
+        assert (code, json.loads(out)["problems"]) == (EXIT_OK, [])
+
     def test_unnormalized_row(self, capsys, tmp_path):
         bad = tmp_path / "badrow.json"
         bad.write_text(
@@ -116,6 +130,14 @@ class TestValidate:
                 '{"vars": [{"name": "X", "domain": [[1], [2]]}], "edges": []}',
                 "variable 'X': domain must be a list of strings or numbers",
             ),
+            (
+                '{"vars": [{"name": "X", "domain": [1, "1"]}], "edges": []}',
+                "variable 'X': domain values must have distinct text with no comma",
+            ),
+            (
+                '{"vars": [{"name": "X", "domain": ["a,b", "c"]}], "edges": []}',
+                "variable 'X': domain values must have distinct text with no comma",
+            ),
         ],
         ids=[
             "list",
@@ -126,6 +148,8 @@ class TestValidate:
             "list_cpts",
             "string_domain",
             "list_values",
+            "same_text",
+            "comma",
         ],
     )
     def test_bad_structure_is_named_in_words(self, capsys, tmp_path, text, message):

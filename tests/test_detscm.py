@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgen.dist import DistTable, argmax, draw, max_abs_diff
+from cfgen.dist import DistTable, argmax, draw, log_row, max_abs_diff
 from cfgen.detscm import (
     BinaryCfQuery,
     CanonicalBinarySCM,
@@ -279,7 +279,7 @@ def test_fragments_respond_through_draw_and_argmax(case):
     gumbel = exogenize(steps, order, "gumbel")
     for ctx, d in steps.items():
         row = [d.prob(t) for t in order]
-        expected = order[argmax(row, noise)]
+        expected = order[argmax(log_row(row), noise)]
         assert gumbel.respond(noise, ctx) == expected
         # the score the fragment used to compute by hand: log p + g, with
         # zero entries at -inf and ties to the lowest index
@@ -287,8 +287,10 @@ def test_fragments_respond_through_draw_and_argmax(case):
         assert expected == order[max(range(len(order)), key=lambda i: (scores[i], -i))]
         for u in its.u_domain:
             t = its.respond(u, ctx)
-            # the whole atom lies in t's window, and t has positive probability
-            assert t == order[draw(row, u.lo)] == order[draw(row, (u.lo + u.hi) / 2)]
+            # the whole atom lies in t's window (draw is monotone in u, so its
+            # first and last floats suffice), and t has positive probability
+            last = math.nextafter(u.hi, u.lo)
+            assert t == order[draw(row, u.lo)] == order[draw(row, last)]
             assert d.prob(t) > 0.0
 
 

@@ -78,6 +78,18 @@ class TestValidate:
         cpt = Cpt("Y", ("X",), {("0",): DistTable({"0": 0.5, "1": 0.5})})
         rep = validate_model(NondetModel((x, y), g, {"Y": cpt}))
         assert not rep.ok
+        assert "Y: rows cover 1 of 2 parent combinations" in rep.problems
+
+    def test_rows_for_unknown_parent_values_are_counted_apart(self):
+        x = VarSpec("X", (0, 1))
+        y = VarSpec("Y", ("0", "1"))
+        g = CausalGraph.of(["X", "Y"], [("X", "Y")])
+        half = DistTable({"0": 0.5, "1": 0.5})
+        cpt = Cpt("Y", ("X",), {(0,): half, ("1",): half})
+        rep = validate_model(NondetModel((x, y), g, {"Y": cpt}))
+        assert rep.problems == (
+            "Y: rows cover 1 of 2 parent combinations; rows for unknown combinations: 1",
+        )
 
     def test_childless_root_noted(self):
         x = VarSpec("X", ("0",))
@@ -315,6 +327,22 @@ class TestJson:
         text = model_to_json(three_chain)
         again = model_from_json(text)
         assert again == three_chain
+        assert model_to_json(again) == text
+
+    def test_round_trip_with_numeric_domains(self):
+        x, z = VarSpec("X", (0, 1)), VarSpec("Z", (2.5, -1))
+        y = VarSpec("Y", (0, 1, 2))
+        g = CausalGraph.of(["X", "Z", "Y"], [("X", "Y"), ("Z", "Y")])
+        rows = {
+            (a, b): DistTable({0: 0.25 * i, 1: 0.5, 2: 0.5 - 0.25 * i})
+            for i, (a, b) in enumerate([(0, 2.5), (0, -1), (1, 2.5)])
+        }
+        rows[(1, -1)] = DistTable.point(2)
+        m = NondetModel((x, z, y), g, {"Y": Cpt("Y", ("X", "Z"), rows)})
+        text = model_to_json(m)
+        again = model_from_json(text)
+        assert again == m
+        assert validate_model(again).ok
         assert model_to_json(again) == text
 
     def test_parser_rejects_bad_row_sum(self):

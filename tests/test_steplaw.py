@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import gc
 import math
+import os
+import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from cfgen.dist import argmax, draw
+import cfgen
+from cfgen.dist import argmax, draw, log_row
 from cfgen.errors import InputError, ModelError
 from cfgen.fixtures import asymmetric_lm, lm3_model
 from cfgen.generators import (
@@ -58,12 +64,12 @@ class TestPrimitives:
             draw((0.0, 0.0), 0.5)
 
     def test_argmax_ignores_zero_entries_and_breaks_ties_low(self):
-        assert argmax((0.0, 0.5, 0.5), (100.0, 0.0, 0.0)) == 1
-        assert argmax((0.25, 0.75), (math.log(3.0), 0.0)) == 0
+        assert argmax(log_row((0.0, 0.5, 0.5)), (100.0, 0.0, 0.0)) == 1
+        assert argmax(log_row((0.25, 0.75)), (math.log(3.0), 0.0)) == 0
 
     def test_argmax_rejects_an_all_zero_row(self):
         with pytest.raises(ModelError):
-            argmax((0.0, 0.0), (0.0, 0.0))
+            argmax(log_row((0.0, 0.0)), (0.0, 0.0))
 
 
 class TestSamplingParams:
@@ -79,6 +85,24 @@ class TestSamplingParams:
         lm = lm3_model()
         assert lm.step_law(SamplingParams(1)) is lm.step_law(SamplingParams(1.0))
         assert lm.step_law(SamplingParams()) is not lm.step_law(SamplingParams(top_k=2))
+
+    def test_params_pickled_in_another_process_find_their_law(self):
+        # the hash is kept in the instance, so it must not depend on the process
+        probe = (
+            "import pickle, sys; from cfgen.tokenlm import SamplingParams; "
+            "sys.stdout.buffer.write(pickle.dumps(SamplingParams(top_k=2)))"
+        )
+        src = str(Path(cfgen.__file__).resolve().parent.parent)
+        blob = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        ).stdout
+        lm = lm3_model()
+        params = pickle.loads(blob)
+        assert params == SamplingParams(top_k=2)
+        assert lm.step_law(params) is lm.step_law(SamplingParams(top_k=2))
 
 
 def _answers(lm, x, x_star):
