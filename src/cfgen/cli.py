@@ -165,6 +165,22 @@ def _require_untruncated(params: SamplingParams, what: str) -> None:
         raise InputError(f"--top-k/--top-p break noise-reuse stability; {what} cannot take them")
 
 
+_EXACT = {"simple": simple_cf_dist, "stable": stable_cf_dist}
+_NOISE_REUSE = {
+    "gumbel": (gumbel_posterior_noise, gumbel_cf_sample),
+    "its": (its_posterior_noise, its_cf_sample),
+}
+
+
+def _replays(
+    lm: ToyLM, method: str, q: CfQuery, params: SamplingParams, seeds: list[int], trace=None
+) -> list[TokenSeq]:
+    """Noise reuse: replays at ``q.x_star`` of the stored ``trace``, or else of
+    hindsight noise for ``q.y`` at ``q.x``, one per seed."""
+    posterior, replay = _NOISE_REUSE[method]
+    return [replay(lm, trace or posterior(lm, q.x, q.y, params, s), q.x_star) for s in seeds]
+
+
 def cmd_counterfactual(args: argparse.Namespace) -> int:
     params = SamplingParams(args.temperature, args.top_k, args.top_p)
     _check_counterfactual_flags(args)
@@ -190,15 +206,10 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
     }
 
     if args.exact:
-        if args.method == "simple":
-            dist = simple_cf_dist(lm, q, params, cap)
-        else:
-            dist = stable_cf_dist(lm, q, params, cap)
-        payload["dist"] = _dist_payload(lm, dist)
+        payload["dist"] = _dist_payload(lm, _EXACT[args.method](lm, q, params, cap))
         _emit(payload, args.format, args.out)
         return EXIT_OK
 
-    draws: list[TokenSeq] = []
     n = args.samples
     if args.method == "simple":
         draws = [simple_cf_sample(lm, q, params, derive_seed(args.seed, i)) for i in range(n)]
@@ -221,14 +232,8 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
                 )
         elif args.method == "gumbel":
             _require_untruncated(params, "--method gumbel")
-        for i in range(n):
-            seed_i = derive_seed(args.seed, i)
-            if args.method == "gumbel":
-                t = trace or gumbel_posterior_noise(lm, x, y, params, seed_i)
-                draws.append(gumbel_cf_sample(lm, t, x_star))
-            else:
-                t = trace or its_posterior_noise(lm, x, y, params, seed_i)
-                draws.append(its_cf_sample(lm, t, x_star))
+        seeds = [derive_seed(args.seed, i) for i in range(n)]
+        draws = _replays(lm, args.method, q, params, seeds, trace)
     payload["draws"] = [_render_seq(lm, s) for s in draws]
     payload["empirical"] = _sample_table(lm, draws)
     _emit(payload, args.format, args.out)
@@ -322,23 +327,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     q = CfQuery(x, y, x_star)
     n = args.samples
 
-    tables: dict[str, DistTable] = {}
-    exactness: dict[str, str] = {}
-    tables["simple"] = simple_cf_dist(lm, q, params, cap)
-    exactness["simple"] = "exact"
-    tables["stable"] = stable_cf_dist(lm, q, params, cap)
-    exactness["stable"] = "exact"
+    tables = {name: law(lm, q, params, cap) for name, law in _EXACT.items()}
+    exactness = dict.fromkeys(tables, "exact")
 
     _require_untruncated(params, "compare's gumbel row")
-    gumbel_draws = []
-    its_draws = []
-    for i in range(n):
-        seed_i = derive_seed(args.seed, i)
-        t = gumbel_posterior_noise(lm, x, y, params, seed_i)
-        gumbel_draws.append(gumbel_cf_sample(lm, t, x_star, params))
-        t2 = its_posterior_noise(lm, x, y, params, derive_seed(args.seed, n + i))
-        its_draws.append(its_cf_sample(lm, t2, x_star, params))
-    for name, draws in (("gumbel", gumbel_draws), ("its", its_draws)):
+    for name, offset in (("gumbel", 0), ("its", n)):
+        seeds = [derive_seed(args.seed, offset + i) for i in range(n)]
+        draws = _replays(lm, name, q, params, seeds)
         # keyed in set order, which fixes the order of the tvd sums below
         counts = Counter(draws)
         tables[name] = DistTable.from_counts({s: counts[s] for s in set(draws)})

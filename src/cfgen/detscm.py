@@ -16,13 +16,14 @@ response types, inverse-transform intervals, or max-perturbation noise).
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .dist import DistTable, argmax, draw, left_sum, log_row
-from .errors import EnumerationCapError, InputError, ModelError
-from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World
+from .errors import EnumerationCapError, InputError, ModelError, read_json
+from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World, key_values, vars_from_json
 
 
 @dataclass(frozen=True)
@@ -516,8 +517,6 @@ def _exogenize_gumbel(
 
 
 def detscm_to_json(m: DetSCM) -> str:
-    import json
-
     exo_names = [v.name for v in m.exo]
     roots = m.roots
 
@@ -542,33 +541,23 @@ def detscm_to_json(m: DetSCM) -> str:
 
 
 def detscm_from_json(text: str) -> DetSCM:
-    import json
+    return read_json(text, _detscm_from_payload)
 
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"bad model JSON: {e}") from e
-    try:
-        endo = tuple(VarSpec(v["name"], tuple(v["domain"])) for v in payload["endo"])
-        exo = tuple(VarSpec(v["name"], tuple(v["domain"])) for v in payload["exo"])
-        graph = CausalGraph.of([v.name for v in endo], [(a, b) for a, b in payload["edges"]])
-        exo_names = [v.name for v in exo]
-        root_set = graph.roots
-        roots = [v.name for v in endo if v.name in root_set]
 
-        def unkey(key: str, names: list[str]) -> World:
-            values = tuple(key.split(",")) if key else ()
-            if len(values) != len(names):
-                raise ModelError(f"key {key!r} does not match variables {names!r}")
-            return World.of(dict(zip(names, values)))
+def _detscm_from_payload(payload: dict) -> DetSCM:
+    endo, texts = vars_from_json(payload["endo"])
+    exo, exo_texts = vars_from_json(payload["exo"])
+    texts.update(exo_texts)
+    graph = CausalGraph.of([v.name for v in endo], [(a, b) for a, b in payload["edges"]])
+    exo_names = tuple(v.name for v in exo)
+    roots = tuple(v.name for v in endo if v.name in graph.roots)
 
-        p_u = DistTable({unkey(k, exo_names): p for k, p in payload["p_u"].items()})
-        responses = {
-            unkey(uk, exo_names): {
-                unkey(rk, roots): World.of(dict(w)) for rk, w in per_root.items()
-            }
-            for uk, per_root in payload["responses"].items()
-        }
-    except (KeyError, TypeError) as e:
-        raise ModelError(f"bad model JSON structure: {e!r}") from e
+    def unkey(key: str, names: tuple[str, ...]) -> World:
+        return World.of(dict(zip(names, key_values(key, names, texts))))
+
+    p_u = DistTable({unkey(k, exo_names): p for k, p in payload["p_u"].items()})
+    responses = {
+        unkey(uk, exo_names): {unkey(rk, roots): World.of(dict(w)) for rk, w in per_root.items()}
+        for uk, per_root in payload["responses"].items()
+    }
     return DetSCM(endo, exo, graph, responses, p_u)

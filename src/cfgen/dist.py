@@ -10,7 +10,8 @@ log-probabilities (``log_row``) given a Gumbel vector. The samplers, the
 noise-reuse replays and ``exogenize``'s inverse-transform and Gumbel
 responses all pick through these two.
 
-``left_sum`` is the one float sum behind every total that reaches output.
+``left_sum`` is the one float sum behind every total that reaches output,
+and ``prob_row`` the one check on a probability row read from a model file.
 """
 
 from __future__ import annotations
@@ -117,6 +118,19 @@ class DistTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def prob_row(outcomes: Sequence, probs: Sequence[float], key: str, owner: str = "") -> DistTable:
+    """Row ``key`` of a model file (of variable ``owner``, if named) over ``outcomes``: one
+    entry each, none negative, summing to 1 within ``NORM_TOL`` (which NaN never does)."""
+    if len(probs) != len(outcomes):
+        raise ModelError(f"{owner}row {key!r} has {len(probs)} entries, expected {len(outcomes)}")
+    total = left_sum(probs)
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ModelError(f"{owner}row {key!r} not normalized (sum={total!r})")
+    if any(p < 0 for p in probs):
+        raise ModelError(f"{owner}row {key!r} has a negative probability")
+    return DistTable(dict(zip(outcomes, probs)))
 
 
 def tvd(a: DistTable, b: DistTable) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dist import DistTable, argmax, draw, left_sum
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, read_json
 from .nondet import DEFAULT_ENUM_CAP
 from .seeding import make_rng
 from .tokenlm import SamplingParams, TokenSeq, ToyLM, forward, sample_output, seq_dist, walk_law
@@ -507,45 +507,38 @@ def trace_to_json(lm: ToyLM, trace: FactualTrace) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _finite_number(v: object) -> bool:
-    # the bound also rejects NaN, and ints too large to become floats
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
 def trace_from_json(lm: ToyLM, text: str) -> FactualTrace:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"bad trace JSON: {e}") from e
-    try:
-        for key in ("x", "y"):
-            if type(payload[key]) is not list:
-                raise InputError(f"trace {key!r} must be a list of tokens")
-        x = lm.vocab.seq(payload["x"])
-        y = lm.vocab.seq(payload["y"]).padded(lm.k)
-        kind, entries = payload["kind"], payload["noise"]
-        pp = payload["params"]
-        params = SamplingParams(pp["temperature"], pp["top_k"], pp["top_p"])
-        if kind not in ("gumbel", "uniform"):
-            raise InputError(f"unknown noise kind {kind!r}")
-        if len(entries) != lm.k:
-            raise InputError(f"trace has {len(entries)} noise entries, expected {lm.k}")
-        values = entries
-        if kind == "gumbel":
-            if any(len(e) != lm.vocab.size for e in entries):
-                raise InputError("gumbel noise vectors must match the vocabulary size")
-            values = [v for e in entries for v in e]
-    except (KeyError, TypeError) as e:
-        raise InputError(f"bad trace JSON structure: {e!r}") from e
-    if not all(_finite_number(v) for v in values):
+    trace = read_json(text, _trace_from_payload, lm, error=InputError, what="trace")
+    replay = gumbel_cf_sample if trace.noise.kind == "gumbel" else its_cf_sample
+    got = replay(lm, trace, trace.x)
+    if got != trace.y:
+        got_s, y_s = (" ".join(lm.vocab.strings(s.stripped())) for s in (got, trace.y))
+        raise InputError(f"trace noise replays {got_s!r} at its prompt, not its output {y_s!r}")
+    return trace
+
+
+def _trace_from_payload(payload: dict, lm: ToyLM) -> FactualTrace:
+    for key in ("x", "y"):
+        if type(payload[key]) is not list:
+            raise InputError(f"trace {key!r} must be a list of tokens")
+    x = lm.vocab.seq(payload["x"])
+    y = lm.vocab.seq(payload["y"]).padded(lm.k)
+    kind, entries = payload["kind"], payload["noise"]
+    pp = payload["params"]
+    params = SamplingParams(pp["temperature"], pp["top_k"], pp["top_p"])
+    if kind not in ("gumbel", "uniform"):
+        raise InputError(f"unknown noise kind {kind!r}")
+    if len(entries) != lm.k:
+        raise InputError(f"trace has {len(entries)} noise entries, expected {lm.k}")
+    values = entries
+    if kind == "gumbel":
+        if any(len(e) != lm.vocab.size for e in entries):
+            raise InputError("gumbel noise vectors must match the vocabulary size")
+        values = [v for e in entries for v in e]
+    # the bound also rejects NaN, and ints too large to become floats
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
         raise InputError("trace noise must be finite numbers")
     if kind == "uniform" and not all(0.0 <= u < 1.0 for u in values):
         raise InputError("uniform noise must lie in [0, 1)")
     noise = tuple(tuple(e) if kind == "gumbel" else float(e) for e in entries)
-    trace = FactualTrace(x, y, NoiseRecord(kind, noise), params)
-    replay = gumbel_cf_sample if kind == "gumbel" else its_cf_sample
-    got = replay(lm, trace, x)
-    if got != y:
-        got_s, y_s = (" ".join(lm.vocab.strings(s.stripped())) for s in (got, y))
-        raise InputError(f"trace noise replays {got_s!r} at its prompt, not its output {y_s!r}")
-    return trace
+    return FactualTrace(x, y, NoiseRecord(kind, noise), params)

@@ -35,12 +35,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .dist import DistTable, left_sum
-from .errors import EnumerationCapError, InputError, ModelError
+from .dist import NORM_TOL, DistTable, prob_row
+from .errors import EnumerationCapError, InputError, ModelError, read_json
 
 DEFAULT_ENUM_CAP = 10_000_000
-
-ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -394,7 +392,7 @@ def validate_model(m: NondetModel) -> ValidationReport:
         for key, row in cpt.rows.items():
             if not set(row.entries) <= child_domain:
                 problems.append(f"{v.name}: row {key!r} has outcomes outside the domain")
-            if not abs(row.total - 1.0) <= ROW_SUM_TOL:  # NaN-safe
+            if not abs(row.total - 1.0) <= NORM_TOL:  # NaN-safe
                 problems.append(f"{v.name}: row {key!r} not normalized (sum={row.total!r})")
             elif row.is_point_mass:
                 deterministic += 1
@@ -695,7 +693,8 @@ def check_simple_semantics(
 #  "cpts": {"Y": {"parents": ["X"], "rows": {"0": [0.3, 0.7]}}}}
 #
 # Row keys comma-join the parent values in the declared parent order; row
-# values list probabilities in the child's domain order.
+# values list probabilities in the child's domain order. Deterministic-model
+# files (``detscm``) read their variables and row keys the same way.
 
 
 def model_to_json(m: NondetModel) -> str:
@@ -720,45 +719,31 @@ def model_to_json(m: NondetModel) -> str:
 
 def model_from_json(text: str) -> NondetModel:
     """Parse the interchange format; rejects rows whose sum is off by > 1e-9."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"bad model JSON: {e}") from e
-    if not isinstance(payload, dict):
-        raise ModelError("bad model JSON structure: the top level must be an object")
-    try:
-        vars_ = tuple(VarSpec(v["name"], _domain_from_json(v)) for v in payload["vars"])
-        graph = CausalGraph.of(
-            [v.name for v in vars_], [(a, b) for a, b in payload["edges"]]
-        )
-        domains = {v.name: v.domain for v in vars_}
-        # row keys are text: each part names a parent value by its ``str``
-        by_text = {name: {str(d): d for d in domain} for name, domain in domains.items()}
-        cpts: dict[str, Cpt] = {}
-        for child, block in payload.get("cpts", {}).items():
-            parents = tuple(block["parents"])
-            rows: dict[tuple, DistTable] = {}
-            for key, probs in block["rows"].items():
-                parts = key.split(",") if key else ()
-                if len(parts) != len(parents):
-                    raise ModelError(f"{child}: row key {key!r} does not match parents")
-                values = tuple(by_text.get(p, {}).get(t, t) for p, t in zip(parents, parts))
-                if child not in domains:
-                    raise ModelError(f"table for unknown variable {child!r}")
-                if len(probs) != len(domains[child]):
-                    raise ModelError(f"{child}: row {key!r} has wrong arity")
-                total = left_sum(probs)
-                if not abs(total - 1.0) <= ROW_SUM_TOL:  # NaN-safe
-                    raise ModelError(f"{child}: row {key!r} not normalized (sum={total!r})")
-                rows[values] = DistTable(dict(zip(domains[child], probs)))
-            cpts[child] = Cpt(child, parents, rows)
-    except KeyError as e:
-        raise ModelError(f"bad model JSON structure: missing key {e.args[0]!r}") from None
-    except InputError:
-        raise
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ModelError(f"bad model JSON structure: a value has the wrong shape ({e})") from None
+    return read_json(text, _model_from_payload)
+
+
+def _model_from_payload(payload: dict) -> NondetModel:
+    vars_, texts = vars_from_json(payload["vars"])
+    graph = CausalGraph.of([v.name for v in vars_], [(a, b) for a, b in payload["edges"]])
+    domains = {v.name: v.domain for v in vars_}
+    cpts: dict[str, Cpt] = {}
+    for child, block in payload.get("cpts", {}).items():
+        parents = tuple(block["parents"])
+        owner = f"{child}: "
+        rows: dict[tuple, DistTable] = {}
+        for key, probs in block["rows"].items():
+            values = key_values(key, parents, texts, owner)
+            if child not in domains:
+                raise ModelError(f"table for unknown variable {child!r}")
+            rows[values] = prob_row(domains[child], probs, key, owner)
+        cpts[child] = Cpt(child, parents, rows)
     return NondetModel(vars_, graph, cpts)
+
+
+def vars_from_json(items: list) -> tuple[tuple[VarSpec, ...], dict[str, dict]]:
+    """A model file's variables, and each one's values by ``str``: the text row keys use."""
+    vars_ = tuple(VarSpec(v["name"], _domain_from_json(v)) for v in items)
+    return vars_, {v.name: {str(d): d for d in v.domain} for v in vars_}
 
 
 def _domain_from_json(v: dict) -> tuple:
@@ -768,7 +753,7 @@ def _domain_from_json(v: dict) -> tuple:
             f"bad model JSON structure: variable {v['name']!r}: "
             "domain must be a list of strings or numbers"
         )
-    # CPT row keys join values with commas, so each value needs its own
+    # row keys join values with commas, so each value needs its own
     # comma-free text; exact repeats are left for ``validate_model`` to report
     distinct = set(domain)
     texts = {str(d) for d in distinct}
@@ -778,3 +763,12 @@ def _domain_from_json(v: dict) -> tuple:
             "domain values must have distinct text with no comma"
         )
     return tuple(domain)
+
+
+def key_values(key: str, names: tuple[str, ...], texts: Mapping, owner: str = "") -> tuple:
+    """The values row ``key`` names, one comma-joined part per variable of
+    ``names``; a part that is no value's text stays text, for validation."""
+    parts = key.split(",") if key else ()
+    if len(parts) != len(names):
+        raise ModelError(f"{owner}row key {key!r} does not match variables {list(names)!r}")
+    return tuple([texts.get(n, {}).get(t, t) for n, t in zip(names, parts)])

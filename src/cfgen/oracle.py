@@ -411,27 +411,22 @@ def verify_gumbel_stability(
     x_star: TokenSeq,
     n_traces: int,
     seed: int,
-    factual_params: SamplingParams | None = None,
     cf_params: SamplingParams | None = None,
-    check_params: SamplingParams | None = None,
 ) -> VerificationReport:
     """Count excluded-token picks across noise-reuse counterfactual runs.
 
-    With identical, truncation-free params on both sides the count must be
-    zero; mismatched truncation gives a diagnostic count, not a failure.
+    The factual runs sample with the default params, and so does the check.
+    With the same params at the counterfactual prompt the count must be
+    zero; other ``cf_params`` give a diagnostic count, not a failure.
     """
-    factual_params = factual_params or SamplingParams()
-    cf_params = cf_params or factual_params
-    check_params = check_params or factual_params
-    diagnostic = cf_params != factual_params or factual_params.truncates
+    factual = SamplingParams()
+    cf_params = cf_params or factual
+    diagnostic = cf_params != factual
     violations = 0
     for i in range(n_traces):
-        y, trace = gumbel_factual_run(
-            lm, x, factual_params, derive_seed(seed, i),
-            allow_truncation=factual_params.truncates,
-        )
+        y, trace = gumbel_factual_run(lm, x, factual, derive_seed(seed, i))
         y_star = gumbel_cf_sample(lm, trace, x_star, cf_params)
-        rep = stability_check(lm, CfQuery(x, y, x_star), y_star, check_params)
+        rep = stability_check(lm, CfQuery(x, y, x_star), y_star, factual)
         violations += rep.violations
     passed = True if diagnostic else violations == 0
     return VerificationReport(

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .dist import DistTable, draw, left_sum, log_row
-from .errors import EnumerationCapError, InputError, ModelError
+from .dist import DistTable, draw, left_sum, log_row, prob_row
+from .errors import EnumerationCapError, InputError, ModelError, read_json
 from .nondet import DEFAULT_ENUM_CAP, CausalGraph, Cpt, NondetModel, VarSpec
 from .seeding import make_rng
 
@@ -120,8 +120,9 @@ class TokenSeq:
         return TokenSeq(body + (0,) * (k - len(body)))
 
     def extends(self, prefix: "TokenSeq") -> bool:
+        # the prefix's body holds no EMPTY, so a shorter body here fails too
         theirs = prefix.ids[: prefix.effective_len]
-        return self.ids[: self.effective_len][: len(theirs)] == theirs
+        return self.ids[: len(theirs)] == theirs
 
     @property
     def has_empty(self) -> bool:
@@ -536,43 +537,28 @@ def lm_to_json(lm: ToyLM) -> str:
 
 
 def lm_from_json(text: str) -> ToyLM:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"bad model JSON: {e}") from e
-    try:
-        tokens = tuple(payload["vocab"])
-        if not tokens or tokens[0] != EMPTY:
-            raise ModelError(f"vocabulary must reserve index 0 for {EMPTY!r}")
-        vocab = Vocab(tokens)
-        k = payload["k"]
-        if type(k) is not int:
-            raise ModelError(f"k must be a JSON integer, got {k!r}")
-        kind = payload["type"]
-        if kind == "table":
-            table: dict[tuple[str, ...], DistTable] = {}
-            for key, probs in payload["probs"].items():
-                ctx = tuple(key.split()) if key else ()
-                table[ctx] = _row_from_probs(vocab, key, probs)
-            return ToyLM(vocab, k, "table", table=table)
-        if kind == "bigram":
-            bigram = {
-                tok: _row_from_probs(vocab, tok, probs)
-                for tok, probs in payload["probs"].items()
-            }
-            unigram = _row_from_probs(vocab, "<unigram>", payload["unigram"])
-            return ToyLM(vocab, k, "bigram", bigram=bigram, unigram=unigram)
-        raise ModelError(f"unknown model type {kind!r}")
-    except (KeyError, TypeError) as e:
-        raise ModelError(f"bad model JSON structure: {e!r}") from e
+    return read_json(text, _lm_from_payload)
 
 
-def _row_from_probs(vocab: Vocab, where: str, probs: list) -> DistTable:
-    if len(probs) != vocab.size:
-        raise ModelError(f"row {where!r} has {len(probs)} entries, expected {vocab.size}")
-    total = left_sum(probs)
-    if not abs(total - 1.0) <= 1e-9:  # NaN-safe
-        raise ModelError(f"row {where!r} not normalized (sum={total!r})")
-    if any(p < 0 for p in probs):
-        raise ModelError(f"row {where!r} has a negative probability")
-    return DistTable(dict(zip(vocab.tokens, probs)))
+def _lm_from_payload(payload: dict) -> ToyLM:
+    tokens = tuple(payload["vocab"])
+    if not tokens or tokens[0] != EMPTY:
+        raise ModelError(f"vocabulary must reserve index 0 for {EMPTY!r}")
+    vocab = Vocab(tokens)
+    k = payload["k"]
+    if type(k) is not int:
+        raise ModelError(f"k must be a JSON integer, got {k!r}")
+    kind = payload["type"]
+    if kind == "table":
+        table = {
+            tuple(key.split()): prob_row(vocab.tokens, probs, key)
+            for key, probs in payload["probs"].items()
+        }
+        return ToyLM(vocab, k, "table", table=table)
+    if kind == "bigram":
+        bigram = {
+            tok: prob_row(vocab.tokens, probs, tok) for tok, probs in payload["probs"].items()
+        }
+        unigram = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
+        return ToyLM(vocab, k, "bigram", bigram=bigram, unigram=unigram)
+    raise ModelError(f"unknown model type {kind!r}")

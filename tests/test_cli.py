@@ -566,6 +566,71 @@ class TestRejectedModels:
         assert out == ""
         assert err.startswith("error (model): k must be a JSON integer") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (
+                "counterfactual",
+                "[1, 2]",
+                "bad model JSON structure: the top level must be an object",
+            ),
+            (
+                "counterfactual",
+                '{"vocab": ["</e>", "a"], "k": 1, "type": "table", "probs": []}',
+                "bad model JSON structure: a value has the wrong shape "
+                "('list' object has no attribute 'items')",
+            ),
+            (
+                "counterfactual",
+                '{"vocab": ["</e>", "a"], "type": "table", "probs": {}}',
+                "bad model JSON structure: missing key 'k'",
+            ),
+            (
+                "counterfactual",
+                '{"vocab": ["</e>", "a", "a"], "k": 1, "type": "table", "probs": {}}',
+                "vocabulary tokens must be distinct",
+            ),
+            # the rows below sum to 1, so only the sign check can see the fault
+            (
+                "counterfactual",
+                '{"vocab": ["</e>", "a"], "k": 1, "type": "table", "probs": {"": [1.5, -0.5]}}',
+                "row '' has a negative probability",
+            ),
+            (
+                "validate",
+                "[" * 100_000 + "]" * 100_000,
+                "bad model JSON: maximum recursion depth exceeded while decoding a JSON array "
+                "from a unicode string",
+            ),
+            (
+                "validate",
+                '{"vars": [{"name": "X", "domain": ["0", "1"]},'
+                ' {"name": "Y", "domain": ["0", "1"]}], "edges": [["X", "Y"]],'
+                ' "cpts": {"Y": {"parents": ["X"], "rows": {"0": [1.5, -0.5], "1": [0.5, 0.5]}}}}',
+                "Y: row '0' has a negative probability",
+            ),
+        ],
+        ids=[
+            "token_list",
+            "token_list_probs",
+            "token_no_k",
+            "token_repeated",
+            "token_negative",
+            "causal_too_deep",
+            "causal_negative",
+        ],
+    )
+    def test_faults_are_named_in_one_line(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        if command == "validate":
+            argv = ["validate", "--model", str(path)]
+        else:
+            argv = _exact_simple(str(path))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_MODEL, "")
+        assert err == f"error (model): {message}\n"
+
 
 class TestErrorCodeMapping:
     def test_each_error_class_has_its_own_exit_code(self, capsys, monkeypatch):
@@ -745,12 +810,13 @@ class TestTruncationFlags:
         assert code == EXIT_MODEL
 
 
-def _lm3_trace(tmp_path, fixture_dir, lm3, **changes):
+def _lm3_trace(tmp_path, fixture_dir, lm3, changes):
     """An its trace on lm3 at prompt "a", whose noise replays "a b b", with
-    payload fields replaced."""
+    the payload fields in ``changes`` replaced; a list is written instead of
+    the whole payload."""
     _, trace = its_factual_run(lm3, lm3.vocab.seq(["a"]), SamplingParams(), 1)
     payload = json.loads(trace_to_json(lm3, trace))
-    payload.update(changes)
+    payload = changes if type(changes) is list else {**payload, **changes}
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(payload))
     return [
@@ -770,11 +836,17 @@ class TestRejectedTraces:
                 {"y": ["a", "a", "a"]},
                 "trace noise replays 'a b b' at its prompt, not its output 'a a a'",
             ),
+            ([1, 2], "bad trace JSON structure: the top level must be an object"),
+            (
+                {"params": [1.0]},
+                "bad trace JSON structure: a value has the wrong shape "
+                "(list indices must be integers or slices, not str)",
+            ),
         ],
-        ids=["nan_noise", "uniform_above_one", "noise_does_not_replay_y"],
+        ids=["nan_noise", "uniform_above_one", "noise_does_not_replay_y", "list", "list_params"],
     )
     def test_rejected_with_one_line(self, capsys, tmp_path, fixture_dir, lm3, changes, message):
-        code, out, err = run(_lm3_trace(tmp_path, fixture_dir, lm3, **changes), capsys)
+        code, out, err = run(_lm3_trace(tmp_path, fixture_dir, lm3, changes), capsys)
         assert code == EXIT_CONFIG
         assert out == ""
         assert err == f"error (config): {message}\n"

@@ -15,6 +15,7 @@ Claims:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import pytest
@@ -302,3 +303,25 @@ class TestDetJson:
         assert detscm_to_json(again) == text
         v = World.of({"X": "0", "Y": "1"})
         assert det_conditional(again, v) == det_conditional(m, v)
+
+    def test_round_trip_with_numeric_domains(self):
+        # Y = X xor U, with U in [0, 1]: the file's keys are the numbers' text
+        x, y, u = VarSpec("X", (0, 1)), VarSpec("Y", (0, 1)), VarSpec("U", (0, 1))
+        g = CausalGraph.of(["X", "Y"], [("X", "Y")])
+        responses = {
+            World.of({"U": uu}): {
+                World.of({"X": xv}): World.of({"X": xv, "Y": xv ^ uu}) for xv in (0, 1)
+            }
+            for uu in (0, 1)
+        }
+        p_u = DistTable({World.of({"U": 0}): 0.5, World.of({"U": 1}): 0.5})
+        m = DetSCM((x, y), (u,), g, responses, p_u)
+        text = detscm_to_json(m)
+        assert json.loads(text)["p_u"] == {"0": 0.5, "1": 0.5}
+        again = detscm_from_json(text)
+        assert again == m
+        assert detscm_to_json(again) == text
+        v = World.of({"X": 1, "Y": 0})
+        assert det_counterfactual(again, v, World.of({"X": 0})) == det_counterfactual(
+            m, v, World.of({"X": 0})
+        )

@@ -86,6 +86,12 @@ class TestTokenSeq:
     def test_extends(self):
         assert TokenSeq((1, 2, 0)).extends(TokenSeq((1,)))
         assert not TokenSeq((2, 1)).extends(TokenSeq((1,)))
+        # padded against unpadded, both ways
+        assert not TokenSeq((1, 0, 0)).extends(TokenSeq((1, 2)))
+        assert TokenSeq((1, 2)).extends(TokenSeq((1, 2, 0)))
+        assert TokenSeq((1, 2, 0)).extends(TokenSeq((1, 0, 0)))
+        assert not TokenSeq((1,)).extends(TokenSeq((1, 2, 0)))
+        assert TokenSeq((0, 0)).extends(TokenSeq(()))
 
 
 class TestNextDist:
