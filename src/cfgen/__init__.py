@@ -33,7 +33,6 @@ from .detscm import (
     BoundsResult,
     CanonicalBinarySCM,
     DetSCM,
-    ExoFragment,
     Interval,
     counterfactual_bounds_binary,
     det_conditional,

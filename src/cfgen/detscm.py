@@ -7,23 +7,23 @@ posterior through the function at the alternative roots.
 
 The module also hosts the canonical binary bridge model (a two-valued
 cause, a two-valued effect, and a four-type response noise), closed-form
-identification bounds over its admissible noise priors, and the
-"pull the probability out" constructions that rewrite a next-token
-distribution as a deterministic response to fresh noise (canonical
-response types, inverse-transform intervals, or max-perturbation noise).
+identification bounds over its admissible noise priors, and ``exogenize``,
+which "pulls the probability out" of a next-token step: it rewrites the
+step as a ``DetSCM`` whose noise is the inverse-transform intervals and
+whose response is the shared ``draw``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .dist import DistTable, argmax, draw, left_sum, log_row
-from .errors import EnumerationCapError, InputError, ModelError, read_json
+from .dist import DistTable, draw, left_sum
+from .errors import InputError, ModelError, read_json
 from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World, key_values, vars_from_json
+from .nondet import require_roots, require_total
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,9 @@ class DetSCM:
                     raise ModelError(f"response not total: {v!r}")
                 if not v.extends(r):
                     raise ModelError("response does not restrict to the identity on roots")
+        # what every query checks its worlds against
+        object.__setattr__(self, "_names", endo_names)
+        object.__setattr__(self, "_root_worlds", frozenset(expected_roots))
 
     @property
     def roots(self) -> tuple[str, ...]:
@@ -114,23 +117,26 @@ class DetSCM:
 
 
 def det_conditional(m: DetSCM, v: World, r: World | None = None) -> float:
-    """Probability of observing total world ``v`` given its root values."""
+    """Probability of observing total world ``v`` given its root values,
+    with the input checks of ``joint_prob``."""
+    require_total(m._names, v)
     if r is None:
         r = v.restrict(m.roots)
+    _require_roots(m, r)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
     return left_sum(p for u, p in m.p_u.items() if m.apply(u, r) == v)
 
 
 def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
-    """Noise posterior given ``v``, pushed through the function at ``r_star``."""
+    """Noise posterior given ``v``, pushed through the function at ``r_star``;
+    ``v`` must be a total world and ``r_star`` assign exactly the roots."""
+    require_total(m._names, v)
     r = v.restrict(m.roots)
-    posterior: dict[World, float] = {}
-    z = 0.0
-    for u, p in m.p_u.items():
-        if m.apply(u, r) == v:
-            posterior[u] = p
-            z += p
+    _require_roots(m, r)
+    _require_roots(m, r_star)
+    posterior = {u: p for u, p in m.p_u.items() if m.apply(u, r) == v}
+    z = left_sum(posterior.values())
     if z <= 0.0:
         raise ModelError("impossible evidence: observed world has zero probability")
     entries: dict[World, float] = {}
@@ -138,6 +144,12 @@ def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
         w = m.apply(u, r_star)
         entries[w] = entries.get(w, 0.0) + p / z
     return DistTable(entries)
+
+
+def _require_roots(m: DetSCM, r: World) -> None:
+    """``require_roots``, after one set lookup among the root assignments."""
+    if r not in m._root_worlds:
+        require_roots(m.roots, m.var, r)
 
 
 def to_nondet_when_u_irrelevant(m: DetSCM) -> NondetModel:
@@ -350,91 +362,26 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class ExoFragment:
-    """One autoregressive step rewritten as noise plus a deterministic response.
-
-    ``respond(u, ctx)`` maps a noise value and a context to the produced
-    token. For the inverse-transform method the noise domain is a finite
-    partition of [0, 1); for the canonical method it is the set of response
-    functions (one token choice per context); for the max-perturbation
-    (Gumbel) method the noise is a vector of reals and ``p_u`` is None.
-    """
-
-    method: str
-    contexts: tuple[Hashable, ...]
-    u_domain: tuple[Hashable, ...] | None
-    p_u: DistTable | None
-    _respond: Callable[[Hashable, Hashable], Hashable]
-
-    def respond(self, u: Hashable, ctx: Hashable) -> Hashable:
-        return self._respond(u, ctx)
-
-    def reconstruct(self, ctx: Hashable) -> DistTable:
-        """Marginal of the response under the noise prior, for one context."""
-        if self.u_domain is None or self.p_u is None:
-            raise InputError("continuous noise: no finite reconstruction available")
-        acc: dict[Hashable, float] = {}
-        for u in self.u_domain:
-            t = self.respond(u, ctx)
-            acc[t] = acc.get(t, 0.0) + self.p_u.prob(u)
-        return DistTable(acc)
-
-
-# Largest canonical response table ``exogenize`` builds: it has one atom
-# per choice of outcome at every context, |order| ** |contexts| in all.
-_MAX_ATOMS = 100_000
-
-
-def exogenize(
-    steps: Mapping[Hashable, DistTable],
-    order: Sequence[Hashable],
-    method: str,
-) -> ExoFragment:
+def exogenize(steps: Mapping[Hashable, DistTable], order: Sequence[Hashable]) -> DetSCM:
     """Pull the probability out of a conditional step into fresh noise.
 
     ``steps`` maps each context to its (normalized) outcome distribution
-    over ``order``; the fixed ordering drives inverse-transform sampling.
-    The inverse-transform and Gumbel fragments respond with the package's
-    one inverse-CDF ``draw`` and one perturbed ``argmax``. For the finite
-    methods the per-context marginal of the returned fragment is checked
-    against the input to 1e-9 on construction.
+    over ``order``, whose fixed ordering drives inverse-transform sampling.
+    The result is a deterministic model with root ``C`` (the context),
+    effect ``T`` (the outcome) and noise ``U``, which ranges over the
+    intervals between the running sums the one inverse-CDF ``draw``
+    crosses, each weighted by its length and responding through ``draw``.
+    Its marginal at every context is checked against the input to 1e-9 on
+    construction.
     """
     if not steps:
         raise InputError("need at least one context")
-    contexts = tuple(steps)
     for ctx, d in steps.items():
         if abs(d.total - 1.0) > 1e-9:
             raise InputError(f"step at context {ctx!r} is not normalized")
         if not set(d.entries) <= set(order):
             raise InputError(f"step at context {ctx!r} has outcomes outside the ordering")
 
-    if method == "inverse_transform":
-        fragment = _exogenize_its(steps, order, contexts)
-    elif method == "canonical":
-        fragment = _exogenize_canonical(steps, order, contexts)
-    elif method == "gumbel":
-        fragment = _exogenize_gumbel(steps, order, contexts)
-        return fragment  # marginal is the analytic argmax law, equal to the input
-    else:
-        raise InputError(f"unknown exogenization method {method!r}")
-
-    for ctx, d in steps.items():
-        rebuilt = fragment.reconstruct(ctx)
-        for t in order:
-            if abs(rebuilt.prob(t) - d.prob(t)) > 1e-9:
-                raise ModelError(
-                    f"exogenization unsound at context {ctx!r}, outcome {t!r}: "
-                    f"{rebuilt.prob(t)!r} != {d.prob(t)!r}"
-                )
-    return fragment
-
-
-def _exogenize_its(
-    steps: Mapping[Hashable, DistTable],
-    order: Sequence[Hashable],
-    contexts: tuple[Hashable, ...],
-) -> ExoFragment:
     # The breakpoints are the running sums ``draw`` crosses, so every atom
     # lies inside one outcome's window at every context.
     breakpoints = {0.0, 1.0}
@@ -448,63 +395,28 @@ def _exogenize_its(
                 if acc < 1.0:
                     breakpoints.add(acc)
     cuts = sorted(breakpoints)
-    atoms = tuple(
-        Interval(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo
-    )
-    p_u = DistTable({a: a.length for a in atoms}, unnormalized=False)
+    atoms = tuple(Interval(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo)
+    responses = {
+        World.of({"U": a}): {
+            World.of({"C": ctx}): World.of({"C": ctx, "T": order[draw(row, a.lo)]})
+            for ctx, row in rows.items()
+        }
+        for a in atoms
+    }
+    p_u = DistTable({World.of({"U": a}): a.length for a in atoms})
+    endo = (VarSpec("C", tuple(steps)), VarSpec("T", tuple(order)))
+    graph = CausalGraph.of(["C", "T"], [("C", "T")])
+    m = DetSCM(endo, (VarSpec("U", atoms),), graph, responses, p_u)
 
-    def respond(u: Hashable, ctx: Hashable) -> Hashable:
-        if not isinstance(u, Interval):
-            raise InputError("inverse-transform noise values are intervals")
-        return order[draw(rows[ctx], u.lo)]
-
-    return ExoFragment("inverse_transform", contexts, atoms, p_u, respond)
-
-
-def _exogenize_canonical(
-    steps: Mapping[Hashable, DistTable],
-    order: Sequence[Hashable],
-    contexts: tuple[Hashable, ...],
-) -> ExoFragment:
-    # Response functions: one outcome per context, weighted independently
-    # across contexts. Any coupling with the same per-context marginals
-    # would serve; independence is the constructive default.
-    if len(order) ** len(contexts) > _MAX_ATOMS:
-        raise EnumerationCapError(
-            f"canonical response table would exceed {_MAX_ATOMS} atoms"
-        )
-    atoms = tuple(itertools.product(order, repeat=len(contexts)))
-    ctx_index = {ctx: i for i, ctx in enumerate(contexts)}
-    weights: dict[Hashable, float] = {}
-    for atom in atoms:
-        w = 1.0
-        for ctx, t in zip(contexts, atom):
-            w *= steps[ctx].prob(t)
-        weights[atom] = w
-    p_u = DistTable(weights)
-
-    def respond(u: Hashable, ctx: Hashable) -> Hashable:
-        return u[ctx_index[ctx]]
-
-    return ExoFragment("canonical", contexts, atoms, p_u, respond)
-
-
-def _exogenize_gumbel(
-    steps: Mapping[Hashable, DistTable],
-    order: Sequence[Hashable],
-    contexts: tuple[Hashable, ...],
-) -> ExoFragment:
-    logs = {ctx: log_row(d.prob(t) for t in order) for ctx, d in steps.items()}
-
-    def respond(u: Hashable, ctx: Hashable) -> Hashable:
-        noise = tuple(u)
-        if len(noise) != len(order):
-            raise InputError("noise vector length must match the outcome ordering")
-        if not all(math.isfinite(g) for g in noise):
-            raise InputError("gumbel noise must be finite")
-        return order[argmax(logs[ctx], noise)]
-
-    return ExoFragment("gumbel", contexts, None, None, respond)
+    for ctx, d in steps.items():
+        for t in order:
+            rebuilt = det_conditional(m, World.of({"C": ctx, "T": t}))
+            if abs(rebuilt - d.prob(t)) > 1e-9:
+                raise ModelError(
+                    f"exogenization unsound at context {ctx!r}, outcome {t!r}: "
+                    f"{rebuilt!r} != {d.prob(t)!r}"
+                )
+    return m
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -6,9 +6,9 @@ explicitly flagged) normalized to 1 within ``NORM_TOL``.
 
 ``draw`` (inverse CDF) picks an index from a row of probabilities given a
 uniform, and ``argmax`` (perturbed argmax) picks one from a row of
-log-probabilities (``log_row``) given a Gumbel vector. The samplers, the
-noise-reuse replays and ``exogenize``'s inverse-transform and Gumbel
-responses all pick through these two.
+log-probabilities (``log_row``) given a Gumbel vector. The samplers and
+the noise-reuse replays pick through these two, and ``exogenize``'s
+deterministic model responds through ``draw``.
 
 ``left_sum`` is the one float sum behind every total that reaches output,
 and ``prob_row`` the one check on a probability row read from a model file.
@@ -120,9 +120,12 @@ class DistTable:
         return len(self.entries)
 
 
-def prob_row(outcomes: Sequence, probs: Sequence[float], key: str, owner: str = "") -> DistTable:
+def prob_row(outcomes: Sequence, probs: list, key: str, owner: str = "") -> DistTable:
     """Row ``key`` of a model file (of variable ``owner``, if named) over ``outcomes``: one
-    entry each, none negative, summing to 1 within ``NORM_TOL`` (which NaN never does)."""
+    entry each, a JSON number (not a boolean), none negative, summing to 1 within
+    ``NORM_TOL`` (which NaN never does)."""
+    if type(probs) is not list or not all(type(p) is float or type(p) is int for p in probs):
+        raise ModelError(f"{owner}row {key!r} must be a list of numbers")
     if len(probs) != len(outcomes):
         raise ModelError(f"{owner}row {key!r} has {len(probs)} entries, expected {len(outcomes)}")
     total = left_sum(probs)

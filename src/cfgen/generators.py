@@ -525,7 +525,10 @@ def _trace_from_payload(payload: dict, lm: ToyLM) -> FactualTrace:
     y = lm.vocab.seq(payload["y"]).padded(lm.k)
     kind, entries = payload["kind"], payload["noise"]
     pp = payload["params"]
-    params = SamplingParams(pp["temperature"], pp["top_k"], pp["top_p"])
+    knobs = (pp["temperature"], pp["top_k"], pp["top_p"])
+    if not all(v is None or type(v) is float or type(v) is int for v in knobs):
+        raise InputError("trace params must be numbers or null")
+    params = SamplingParams(*knobs)
     if kind not in ("gumbel", "uniform"):
         raise InputError(f"unknown noise kind {kind!r}")
     if len(entries) != lm.k:

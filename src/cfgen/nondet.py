@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .dist import NORM_TOL, DistTable, prob_row
 from .errors import EnumerationCapError, InputError, ModelError, read_json
@@ -404,20 +404,21 @@ def validate_model(m: NondetModel) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems), tuple(notes))
 
 
-def _require_total(m: NondetModel, v: World) -> None:
-    names = _plan_of(m).names
+def require_total(names: frozenset[str], v: World) -> None:
+    """The evidence check every model kind makes: ``v`` assigns exactly ``names``."""
     if v.names != names:
         missing = names - v.names
         extra = v.names - names
         raise InputError(f"world not total (missing {sorted(missing)}, extra {sorted(extra)})")
 
 
-def _require_roots(m: NondetModel, r: World) -> None:
-    plan = _plan_of(m)
-    if r.names != plan.root_set:
-        raise InputError(f"expected an assignment to exactly the roots {plan.roots!r}")
-    for name in plan.roots:
-        m.var(name).index(r[name])
+def require_roots(roots: tuple[str, ...], var: Callable[[str], VarSpec], r: World) -> None:
+    """The root-assignment check every model kind makes: ``r`` assigns exactly
+    ``roots``, each a value in the domain of its variable ``var(name)``."""
+    if r.names != frozenset(roots):
+        raise InputError(f"expected an assignment to exactly the roots {roots!r}")
+    for name in roots:
+        var(name).index(r[name])
 
 
 def joint_prob(m: NondetModel, v: World, r: World) -> float:
@@ -426,8 +427,8 @@ def joint_prob(m: NondetModel, v: World, r: World) -> float:
     The product of one table entry per non-root variable; roots contribute
     no factor because they carry no marginal.
     """
-    _require_total(m, v)
-    _require_roots(m, r)
+    require_total(_plan_of(m).names, v)
+    require_roots(m.roots, m.var, r)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
     return _actual_rows(m, v)[0]
@@ -461,7 +462,7 @@ def _observed_rows(m: NondetModel, v: World) -> _Observed:
     and the actual value, whose row becomes a point mass on it. An error
     when ``v`` is not total or has zero probability; the checks are those
     of ``joint_prob``, in its order."""
-    _require_total(m, v)
+    require_total(_plan_of(m).names, v)
     for name in _plan_of(m).roots:
         m.var(name).index(v[name])
     p, observed = _actual_rows(m, v)
@@ -563,7 +564,7 @@ def counterfactual_dist(
     and equals ``evidence_update(m, v)`` walked the same way. Support only
     contains worlds extending ``r_star``.
     """
-    _require_roots(m, r_star)
+    require_roots(m.roots, m.var, r_star)
     return DistTable(_positive_worlds(m, r_star, cap, _observed_rows(m, v)))
 
 
@@ -576,8 +577,8 @@ def counterfactual_case_prob(m: NondetModel, v: World, r_star: World, v_star: Wo
     mass; otherwise the prior table entries of the changed-parent variables
     multiply.
     """
-    _require_total(m, v)
-    _require_total(m, v_star)
+    require_total(_plan_of(m).names, v)
+    require_total(_plan_of(m).names, v_star)
     if not v_star.extends(r_star):
         return 0.0
     changed: list[str] = []
@@ -609,8 +610,8 @@ def counterfactual_dist_cases(
     Deliberately takes the slow route (full product space over non-root
     domains, no model rewriting) so the two evaluators stay independent.
     """
-    _require_total(m, v)
-    _require_roots(m, r_star)
+    require_total(_plan_of(m).names, v)
+    require_roots(m.roots, m.var, r_star)
     r = v.restrict(m.roots)
     if joint_prob(m, v, r) <= 0.0:
         raise ModelError("impossible evidence: observed world has zero probability")

@@ -541,7 +541,13 @@ def lm_from_json(text: str) -> ToyLM:
 
 
 def _lm_from_payload(payload: dict) -> ToyLM:
-    tokens = tuple(payload["vocab"])
+    tokens = payload["vocab"]
+    if type(tokens) is not list:
+        raise ModelError("vocab must be a list of tokens")
+    for tok in tokens:
+        # a table key names its context by space-joined tokens
+        if type(tok) is not str or tok.split() != [tok]:
+            raise ModelError(f"vocabulary entry {tok!r} is not a nonempty string without spaces")
     if not tokens or tokens[0] != EMPTY:
         raise ModelError(f"vocabulary must reserve index 0 for {EMPTY!r}")
     vocab = Vocab(tokens)
@@ -549,16 +555,16 @@ def _lm_from_payload(payload: dict) -> ToyLM:
     if type(k) is not int:
         raise ModelError(f"k must be a JSON integer, got {k!r}")
     kind = payload["type"]
+    if kind not in ("table", "bigram"):
+        raise ModelError(f"unknown model type {kind!r}")
+    rows = {}
+    for key, probs in payload["probs"].items():
+        # a table key is a space-joined context, a bigram key one token
+        for tok in key.split() if kind == "table" else [key]:
+            if tok not in vocab.tokens:
+                raise ModelError(f"row {key!r} names {tok!r}, which is not in the vocabulary")
+        rows[key] = prob_row(vocab.tokens, probs, key)
     if kind == "table":
-        table = {
-            tuple(key.split()): prob_row(vocab.tokens, probs, key)
-            for key, probs in payload["probs"].items()
-        }
-        return ToyLM(vocab, k, "table", table=table)
-    if kind == "bigram":
-        bigram = {
-            tok: prob_row(vocab.tokens, probs, tok) for tok, probs in payload["probs"].items()
-        }
-        unigram = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
-        return ToyLM(vocab, k, "bigram", bigram=bigram, unigram=unigram)
-    raise ModelError(f"unknown model type {kind!r}")
+        return ToyLM(vocab, k, kind, table={tuple(key.split()): row for key, row in rows.items()})
+    unigram = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
+    return ToyLM(vocab, k, kind, bigram=rows, unigram=unigram)

@@ -609,6 +609,21 @@ class TestRejectedModels:
                 ' "cpts": {"Y": {"parents": ["X"], "rows": {"0": [1.5, -0.5], "1": [0.5, 0.5]}}}}',
                 "Y: row '0' has a negative probability",
             ),
+            # a boolean is not a number, though it sums like one
+            (
+                "validate",
+                '{"vars": [{"name": "X", "domain": ["0", "1"]},'
+                ' {"name": "Y", "domain": ["0", "1"]}], "edges": [["X", "Y"]],'
+                ' "cpts": {"Y": {"parents": ["X"], "rows": {"0": [true, 0], "1": [0.5, 0.5]}}}}',
+                "Y: row '0' must be a list of numbers",
+            ),
+            (
+                "validate",
+                '{"vars": [{"name": "X", "domain": ["0", "1"]},'
+                ' {"name": "Y", "domain": ["0", "1"]}], "edges": [["X", "Y"]],'
+                ' "cpts": {"Y": {"parents": ["X"], "rows": {"0": "01", "1": [0.5, 0.5]}}}}',
+                "Y: row '0' must be a list of numbers",
+            ),
         ],
         ids=[
             "token_list",
@@ -618,6 +633,8 @@ class TestRejectedModels:
             "token_negative",
             "causal_too_deep",
             "causal_negative",
+            "causal_boolean",
+            "causal_not_a_list",
         ],
     )
     def test_faults_are_named_in_one_line(self, capsys, tmp_path, command, text, message):
@@ -630,6 +647,39 @@ class TestRejectedModels:
         code, out, err = run(argv, capsys)
         assert (code, out) == (EXIT_MODEL, "")
         assert err == f"error (model): {message}\n"
+
+
+_LM3_PROBS = json.loads((SRC.parent / "fixtures" / "lm3.json").read_text())["probs"]
+_NO_SPACES = "is not a nonempty string without spaces"
+_NOT_IN_VOCAB = "which is not in the vocabulary"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"probs": {**_LM3_PROBS, "z": [1.0, 0.0, 0.0]}}, f"row 'z' names 'z', {_NOT_IN_VOCAB}"),
+        ({"probs": {**_LM3_PROBS, "a z": [1, 0, 0]}}, f"row 'a z' names 'z', {_NOT_IN_VOCAB}"),
+        (
+            {"type": "bigram", "probs": {"a": [0.2, 0.5, 0.3], "z": [1, 0, 0]},
+             "unigram": [0, 0.6, 0.4]},
+            f"row 'z' names 'z', {_NOT_IN_VOCAB}",
+        ),
+        ({"vocab": ["</e>", "a b", "b"]}, f"vocabulary entry 'a b' {_NO_SPACES}"),
+        ({"vocab": ["</e>", 1, 2]}, f"vocabulary entry 1 {_NO_SPACES}"),
+        ({"vocab": ["</e>", "", "b"]}, f"vocabulary entry '' {_NO_SPACES}"),
+        ({"vocab": {"</e>": 1, "a": 2, "b": 3}}, "vocab must be a list of tokens"),
+        ({"probs": {**_LM3_PROBS, "a b": [True, 0, 0]}}, "row 'a b' must be a list of numbers"),
+        ({"probs": {**_LM3_PROBS, "a b": "abc"}}, "row 'a b' must be a list of numbers"),
+    ],
+    ids=[
+        "table_key", "table_key_in_context", "bigram_key", "vocab_space", "vocab_numbers",
+        "vocab_empty", "vocab_object", "row_boolean", "row_string",
+    ],
+)
+def test_token_model_names_only_its_vocabulary(capsys, fixture_dir, tmp_path, changes, message):
+    code, out, err = run(_exact_simple(_token_model_with(fixture_dir, tmp_path, **changes)), capsys)
+    assert (code, out) == (EXIT_MODEL, "")
+    assert err == f"error (model): {message}\n"
 
 
 class TestErrorCodeMapping:
@@ -842,8 +892,15 @@ class TestRejectedTraces:
                 "bad trace JSON structure: a value has the wrong shape "
                 "(list indices must be integers or slices, not str)",
             ),
+            (
+                {"params": {"temperature": 1.0, "top_k": None, "top_p": True}},
+                "trace params must be numbers or null",
+            ),
         ],
-        ids=["nan_noise", "uniform_above_one", "noise_does_not_replay_y", "list", "list_params"],
+        ids=[
+            "nan_noise", "uniform_above_one", "noise_does_not_replay_y", "list", "list_params",
+            "boolean_param",
+        ],
     )
     def test_rejected_with_one_line(self, capsys, tmp_path, fixture_dir, lm3, changes, message):
         code, out, err = run(_lm3_trace(tmp_path, fixture_dir, lm3, changes), capsys)

@@ -7,9 +7,10 @@ Claims:
     - noise-independent models convert to equivalent chance models
     - identification bounds for the flip query are [0, 1] at p=0.3, q=0.7,
       and the resampling answer always lands inside them
-    - every exogenization method reconstructs the step marginals, and the
-      inverse-transform and Gumbel fragments respond through ``draw`` and
-      ``argmax``
+    - ``exogenize`` builds a deterministic model that reconstructs the step
+      marginals, responds through ``draw``, and whose counterfactual is the
+      inverse-transform window overlap
+    - the evidence checks are those of ``joint_prob``
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgen.dist import DistTable, argmax, draw, log_row, max_abs_diff
+from cfgen.dist import DistTable, draw, max_abs_diff
 from cfgen.detscm import (
     BinaryCfQuery,
     CanonicalBinarySCM,
@@ -37,15 +38,18 @@ from cfgen.detscm import (
     simple_binary_answer,
     to_nondet_when_u_irrelevant,
 )
-from cfgen.errors import EnumerationCapError, InputError, ModelError
+from cfgen.errors import InputError, ModelError
+from cfgen.generators import its_cf_sample, its_posterior_noise
 from cfgen.nondet import CausalGraph, VarSpec, World, counterfactual_dist, joint_prob
 from cfgen.oracle import random_u_independent_scm
 from cfgen.seeding import derive_seed, make_rng
+from cfgen.tokenlm import SamplingParams
 
 P, Q = 0.3, 0.7
 CHOICE_HI = CanonicalBinarySCM.from_free_weight(P, Q, 0.0)  # copy & negate types only
 CHOICE_LO = CanonicalBinarySCM.from_free_weight(P, Q, P)  # no copy type
 FLIP_QUERY = BinaryCfQuery(y_star=0, y=1, x=1, x_star=0)
+PARAMS = SamplingParams()
 
 
 def _flip_prob(scm: CanonicalBinarySCM) -> float:
@@ -106,6 +110,44 @@ class TestCanonicalBinary:
         m = _diagonal_scm()
         with pytest.raises(ModelError, match="impossible evidence"):
             det_counterfactual(m, World.of({"X": "0", "Y": "0"}), World.of({"X": "1"}))
+
+
+class TestEvidenceChecks:
+    """The checks ``joint_prob`` makes, in its wording, on the binary bridge model."""
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ({"X": 1}, "world not total (missing ['Y'], extra [])"),
+            ({"X": 1, "Y": 1, "Z": 0}, "world not total (missing [], extra ['Z'])"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_evidence_must_be_a_total_world(self, binary_chain, v, message):
+        m = CHOICE_HI.to_detscm()
+        for query in (
+            lambda: det_conditional(m, World.of(v)),
+            lambda: det_counterfactual(m, World.of(v), World.of({"X": 0})),
+            lambda: joint_prob(binary_chain, World.of(v), World.of({"X": 1})),
+        ):
+            with pytest.raises(InputError) as caught:
+                query()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "r_star, message",
+        [
+            ({"Y": 0}, "expected an assignment to exactly the roots ('X',)"),
+            ({"X": 0, "Y": 0}, "expected an assignment to exactly the roots ('X',)"),
+            ({"X": 2}, "value 2 not in domain of X"),
+        ],
+        ids=["wrong_variable", "extra_variable", "outside_domain"],
+    )
+    def test_alternative_roots_must_assign_exactly_the_roots(self, r_star, message):
+        m = CHOICE_HI.to_detscm()
+        with pytest.raises(InputError) as caught:
+            det_counterfactual(m, World.of({"X": 1, "Y": 1}), World.of(r_star))
+        assert str(caught.value) == message
 
 
 class TestBounds:
@@ -191,67 +233,51 @@ class TestConversion:
 
 class TestExogenize:
     def test_uniform_binary_split_at_half(self):
-        frag = exogenize({(): DistTable({"a": 0.5, "b": 0.5})}, ("a", "b"), "inverse_transform")
-        assert frag.u_domain == (Interval(0.0, 0.5), Interval(0.5, 1.0))
-        assert frag.respond(Interval(0.0, 0.5), ()) == "a"
-        assert frag.respond(Interval(0.5, 1.0), ()) == "b"
+        m = exogenize({(): DistTable({"a": 0.5, "b": 0.5})}, ("a", "b"))
+        halves = (Interval(0.0, 0.5), Interval(0.5, 1.0))
+        assert m.exo == (VarSpec("U", halves),)
+        assert [v.name for v in m.endo] == ["C", "T"] and m.roots == ("C",)
+        assert [m.p_u.prob(World.of({"U": u})) for u in halves] == [0.5, 0.5]
+        assert [_response(m, u, ()) for u in halves] == ["a", "b"]
 
-    @pytest.mark.parametrize("method", ["inverse_transform", "canonical"])
-    def test_marginals_reconstructed(self, method, lm3):
+    def test_marginals_reconstructed(self, lm3):
         steps = {ctx: row for ctx, row in lm3.table.items() if len(ctx) == 1}
-        frag = exogenize(steps, lm3.vocab.tokens, method)
+        m = exogenize(steps, lm3.vocab.tokens)
         for ctx, row in steps.items():
-            rebuilt = frag.reconstruct(ctx)
             for t in lm3.vocab.tokens:
-                assert rebuilt.prob(t) == pytest.approx(row.prob(t), abs=1e-9)
-
-    def test_canonical_binary_reproduces_four_types(self):
-        steps = {0: DistTable({0: 1 - Q, 1: Q}), 1: DistTable({0: 1 - P, 1: P})}
-        frag = exogenize(steps, (0, 1), "canonical")
-        # response tuples (y at x=0, y at x=1): copy, negate, always-0, always-1
-        assert set(frag.u_domain) == {(0, 1), (1, 0), (0, 0), (1, 1)}
-        copy_w = frag.p_u.prob((0, 1))
-        negate_w = frag.p_u.prob((1, 0))
-        always1_w = frag.p_u.prob((1, 1))
-        assert copy_w + always1_w == pytest.approx(P, abs=1e-12)
-        assert negate_w + always1_w == pytest.approx(Q, abs=1e-12)
-
-    def test_gumbel_fragment_responds_by_perturbed_argmax(self):
-        frag = exogenize({(): DistTable({"a": 0.3, "b": 0.7})}, ("a", "b"), "gumbel")
-        assert frag.respond((2.0, 0.0), ()) == "a"
-        assert frag.respond((0.0, 0.5), ()) == "b"
-        with pytest.raises(InputError):
-            frag.reconstruct(())  # continuous noise has no finite table
-
-    def test_unknown_method(self):
-        with pytest.raises(InputError):
-            exogenize({(): DistTable({"a": 1.0})}, ("a",), "nope")
-
-    def test_canonical_table_above_the_atom_limit(self):
-        steps = {ctx: DistTable({0: 0.5, 1: 0.5}) for ctx in range(17)}  # 2**17 atoms
-        with pytest.raises(
-            EnumerationCapError, match="^canonical response table would exceed 100000 atoms$"
-        ):
-            exogenize(steps, (0, 1), "canonical")
+                rebuilt = det_conditional(m, World.of({"C": ctx, "T": t}))
+                assert rebuilt == pytest.approx(row.prob(t), abs=1e-9)
 
     def test_its_atom_past_the_last_positive_outcome(self):
         # the prefix sums stop at 1 - 1e-12, so the last atom lies beyond them;
         # it belongs to the last positive outcome, not to the zero one after it
-        frag = exogenize(
-            {(): DistTable({"a": 0.5, "b": 0.5 - 1e-12, "c": 0.0})}, ("a", "b", "c"),
-            "inverse_transform",
+        m = exogenize(
+            {(): DistTable({"a": 0.5, "b": 0.5 - 1e-12, "c": 0.0})}, ("a", "b", "c")
         )
-        assert [frag.respond(u, ()) for u in frag.u_domain] == ["a", "b", "b"]
+        assert [_response(m, u, ()) for u in m.exo[0].domain] == ["a", "b", "b"]
 
-    @pytest.mark.parametrize("noise", [(0.0, -math.inf), (0.0, math.nan), (math.inf, 0.0)])
-    def test_gumbel_rejects_non_finite_noise(self, noise):
-        frag = exogenize({(): DistTable({"a": 0.0, "b": 1.0})}, ("a", "b"), "gumbel")
-        with pytest.raises(InputError, match="gumbel noise must be finite"):
-            frag.respond(noise, ())
+    def test_lm_asym_its_counterfactual_matches_the_replays(self, asym_lm):
+        # y = "p b", prompt p -> q: the uniform that gave b after p lies in
+        # [0.5, 0.8), which gives c after q
+        v = asym_lm.vocab
+        steps = {ctx: asym_lm.table[ctx] for ctx in (("p",), ("q",))}
+        m = exogenize(steps, v.tokens)
+        law = det_counterfactual(m, World.of({"C": ("p",), "T": "b"}), World.of({"C": ("q",)}))
+        assert law == DistTable.point(World.of({"C": ("q",), "T": "c"}))
+        x, y, x_star = v.seq(["p"]), v.seq(["p", "b"]), v.seq(["q"])
+        replays = {
+            v.strings(its_cf_sample(asym_lm, its_posterior_noise(asym_lm, x, y, PARAMS, s), x_star))
+            for s in range(200)
+        }
+        assert replays == {("q", "c")}
+
+
+def _response(m: DetSCM, u: Interval, ctx) -> str:
+    return m.apply(World.of({"U": u}), World.of({"C": ctx}))["T"]
 
 
 @st.composite
-def _steps_and_noise(draw_from):
+def _steps(draw_from):
     n = draw_from(st.integers(min_value=1, max_value=5))
     order = tuple(f"t{i}" for i in range(n))
     steps = {}
@@ -261,38 +287,51 @@ def _steps_and_noise(draw_from):
             st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
         )
         steps[ctx] = DistTable({t: w / sum(ws) for t, w in zip(order, ws)})
-    # a few distinct values, so perturbed scores tie too
-    noise = draw_from(
-        st.lists(
-            st.one_of(st.sampled_from([0.0, 1.0, math.log(2.0)]), st.floats(-50.0, 50.0)),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    return steps, order, tuple(noise)
+    return steps, order
 
 
 @settings(max_examples=200, derandomize=True)
-@given(_steps_and_noise())
-def test_fragments_respond_through_draw_and_argmax(case):
-    steps, order, noise = case
-    its = exogenize(steps, order, "inverse_transform")
-    gumbel = exogenize(steps, order, "gumbel")
+@given(_steps())
+def test_exogenized_model_responds_through_draw(case):
+    steps, order = case
+    m = exogenize(steps, order)
     for ctx, d in steps.items():
         row = [d.prob(t) for t in order]
-        expected = order[argmax(log_row(row), noise)]
-        assert gumbel.respond(noise, ctx) == expected
-        # the score the fragment used to compute by hand: log p + g, with
-        # zero entries at -inf and ties to the lowest index
-        scores = [math.log(p) + g if p > 0.0 else -math.inf for p, g in zip(row, noise)]
-        assert expected == order[max(range(len(order)), key=lambda i: (scores[i], -i))]
-        for u in its.u_domain:
-            t = its.respond(u, ctx)
+        for u in m.exo[0].domain:
+            t = _response(m, u, ctx)
             # the whole atom lies in t's window (draw is monotone in u, so its
             # first and last floats suffice), and t has positive probability
             last = math.nextafter(u.hi, u.lo)
             assert t == order[draw(row, u.lo)] == order[draw(row, last)]
             assert d.prob(t) > 0.0
+
+
+def _windows(d: DistTable, order) -> dict:
+    """Each outcome's cumulative window [lo, hi) over the positive entries."""
+    acc, out = 0.0, {}
+    for t in order:
+        if d.prob(t) > 0.0:
+            out[t] = (acc, acc + d.prob(t))
+            acc += d.prob(t)
+    return out
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_steps())
+def test_det_counterfactual_is_the_window_overlap(case):
+    # the its kernel: P(s) = |W_f(o) & W_c(s)| / f_o
+    steps, order = case
+    m = exogenize(steps, order)
+    for f, o, c in itertools.product(steps, order, steps):
+        if steps[f].prob(o) == 0.0:
+            continue
+        law = det_counterfactual(m, World.of({"C": f, "T": o}), World.of({"C": c}))
+        lo, hi = _windows(steps[f], order)[o]
+        cf_windows = _windows(steps[c], order)
+        for s in order:
+            a, b = cf_windows.get(s, (0.0, 0.0))
+            expected = max(0.0, min(hi, b) - max(lo, a)) / steps[f].prob(o)
+            assert abs(law.prob(World.of({"C": c, "T": s})) - expected) <= 1e-12
 
 
 class TestDetJson:

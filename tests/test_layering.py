@@ -7,8 +7,8 @@ causal models (``nondet``), then deterministic models and token models
 and the package façade (``__init__``). A module may import only modules of
 a lower rank; among the leaves, only ``errors`` may be imported, since
 every layer raises its exceptions. This keeps one home per concept: the
-shared ``draw`` and ``argmax`` live in ``dist``, so ``detscm`` uses them
-without importing the token layer.
+shared ``draw`` and ``argmax`` live in ``dist``, so ``detscm`` responds
+through ``draw`` without importing the token layer.
 """
 
 from __future__ import annotations
