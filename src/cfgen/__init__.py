@@ -37,9 +37,8 @@ from .detscm import (
     counterfactual_bounds_binary,
     det_conditional,
     det_counterfactual,
-    detscm_from_json,
-    detscm_to_json,
     exogenize,
+    positivity,
     simple_binary_answer,
     to_nondet_when_u_irrelevant,
 )
@@ -52,7 +51,6 @@ from .tokenlm import (
     compile_to_nondet,
     lm_from_json,
     lm_to_json,
-    next_dist,
     sample_output,
     seq_dist,
     zero_temp_fn,

@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .detscm import BinaryCfQuery, counterfactual_bounds_binary, simple_binary_answer
+from .detscm import BinaryCfQuery, counterfactual_bounds_binary, positivity, simple_binary_answer
 from .dist import DistTable, draw, tvd
 from .errors import CfgenError, EnumerationCapError, InputError, ModelError
 from .fixtures import asymmetric_lm, lm3_model, topk_violation_lm
@@ -249,8 +249,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     payload["resampling_answer"] = answer
     payload["resampling_answer_within_bounds"] = bool(result.lo <= answer <= result.hi)
     payload["positivity"] = {
-        "arg_lo": "boundary (non-positive)" if 0.0 in result.arg_lo else "positive",
-        "arg_hi": "boundary (non-positive)" if 0.0 in result.arg_hi else "positive",
+        "arg_lo": positivity(result.arg_lo),
+        "arg_hi": positivity(result.arg_hi),
     }
     _emit(payload, "json", args.out)
     return EXIT_OK

@@ -7,7 +7,8 @@ posterior through the function at the alternative roots.
 
 The module also hosts the canonical binary bridge model (a two-valued
 cause, a two-valued effect, and a four-type response noise), closed-form
-identification bounds over its admissible noise priors, and ``exogenize``,
+identification bounds over its admissible noise priors, the one
+``positivity`` reading of a noise prior, and ``exogenize``,
 which "pulls the probability out" of a next-token step: it rewrites the
 step as a ``DetSCM`` whose noise is the inverse-transform intervals and
 whose response is the shared ``draw``.
@@ -16,14 +17,12 @@ whose response is the shared ``draw``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .dist import DistTable, draw, left_sum
-from .errors import InputError, ModelError, read_json
-from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World, key_values, vars_from_json
-from .nondet import require_roots, require_total
+from .errors import InputError, ModelError
+from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World, require_roots, require_total
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class DetSCM:
     ``responses[u][r]`` is the total endogenous world produced by noise
     ``u`` and root assignment ``r``; it must extend ``r`` (the function is
     the identity on roots). ``p_u`` is the noise prior; zero weights are
-    accepted but flagged as boundary choices.
+    accepted (``positivity`` flags them).
     """
 
     endo: tuple[VarSpec, ...]
@@ -50,9 +49,14 @@ class DetSCM:
         )
         if frozenset(v.name for v in self.endo) != frozenset(self.graph.nodes):
             raise ModelError("graph nodes do not match endogenous variables")
+        root_set = self.graph.roots
+        object.__setattr__(self, "_roots", tuple(v.name for v in self.endo if v.name in root_set))
+        object.__setattr__(
+            self, "_non_roots", tuple(v.name for v in self.endo if v.name not in root_set)
+        )
         endo_names = frozenset(v.name for v in self.endo)
         exo_names = frozenset(v.name for v in self.exo)
-        root_names = frozenset(self.roots)
+        root_names = frozenset(self._roots)
         noise_worlds = set(self.noise_worlds())
         if set(self.p_u.entries) != noise_worlds:
             raise ModelError("noise prior does not cover exactly the noise domain")
@@ -77,13 +81,11 @@ class DetSCM:
 
     @property
     def roots(self) -> tuple[str, ...]:
-        root_set = self.graph.roots
-        return tuple(v.name for v in self.endo if v.name in root_set)
+        return self._roots
 
     @property
     def non_roots(self) -> tuple[str, ...]:
-        root_set = self.graph.roots
-        return tuple(v.name for v in self.endo if v.name not in root_set)
+        return self._non_roots
 
     def var(self, name: str) -> VarSpec:
         for v in self.endo:
@@ -106,14 +108,6 @@ class DetSCM:
             return self.responses[u][r]
         except KeyError:
             raise InputError(f"no response recorded for u={u!r}, r={r!r}") from None
-
-    @property
-    def has_boundary_weights(self) -> bool:
-        """True when some noise value has zero prior weight (positivity violated)."""
-        return any(p == 0.0 for _, p in self.p_u.items())
-
-    def positivity_note(self) -> str:
-        return "boundary (non-positive)" if self.has_boundary_weights else "positive"
 
 
 def det_conditional(m: DetSCM, v: World, r: World | None = None) -> float:
@@ -226,10 +220,6 @@ class CanonicalBinarySCM:
             raise InputError(f"free weight {d} outside feasible range [{lo}, {hi}]")
         return cls(p, q, (p - d, q - d, 1.0 - p - q + d, d))
 
-    @property
-    def is_boundary(self) -> bool:
-        return any(w == 0.0 for w in self.u_weights)
-
     def to_detscm(self) -> DetSCM:
         x = VarSpec("X", (0, 1))
         y = VarSpec("Y", (0, 1))
@@ -249,6 +239,12 @@ class CanonicalBinarySCM:
 def _require_pq(p: float, q: float) -> None:
     if not (0.0 < p < q < 1.0):
         raise InputError(f"require 0 < p < q < 1, got p={p}, q={q}")
+
+
+def positivity(weights: Iterable[float]) -> str:
+    """How a noise prior with these weights stands on positivity: a zero
+    weight puts it on the boundary of the admissible priors."""
+    return "boundary (non-positive)" if any(w == 0.0 for w in weights) else "positive"
 
 
 @dataclass(frozen=True)
@@ -417,59 +413,3 @@ def exogenize(steps: Mapping[Hashable, DistTable], order: Sequence[Hashable]) ->
                     f"{rebuilt!r} != {d.prob(t)!r}"
                 )
     return m
-
-
-# --- JSON interchange -------------------------------------------------------
-#
-# Shares the spirit of the chance-model format, plus noise blocks:
-# {"endo": [...], "exo": [...], "edges": [...],
-#  "p_u": {"<comma-joined u values>": prob},
-#  "responses": {"<u values>": {"<root values>": {"X": "1", "Y": "0"}}}}
-# Value tuples are comma-joined in declaration order.
-
-
-def detscm_to_json(m: DetSCM) -> str:
-    exo_names = [v.name for v in m.exo]
-    roots = m.roots
-
-    def ukey(u: World) -> str:
-        return ",".join(str(x) for x in u.values_at(exo_names))
-
-    def rkey(r: World) -> str:
-        return ",".join(str(x) for x in r.values_at(roots))
-
-    payload = {
-        "endo": [{"name": v.name, "domain": list(v.domain)} for v in m.endo],
-        "exo": [{"name": v.name, "domain": list(v.domain)} for v in m.exo],
-        "edges": sorted([a, b] for a, b in m.graph.edges),
-        "p_u": {ukey(u): p for u, p in m.p_u.sorted_items()},
-        "responses": {
-            ukey(u): {rkey(r): {k: v for k, v in w.items} for r, w in sorted(
-                per_root.items(), key=lambda kv: repr(kv[0]))}
-            for u, per_root in sorted(m.responses.items(), key=lambda kv: repr(kv[0]))
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def detscm_from_json(text: str) -> DetSCM:
-    return read_json(text, _detscm_from_payload)
-
-
-def _detscm_from_payload(payload: dict) -> DetSCM:
-    endo, texts = vars_from_json(payload["endo"])
-    exo, exo_texts = vars_from_json(payload["exo"])
-    texts.update(exo_texts)
-    graph = CausalGraph.of([v.name for v in endo], [(a, b) for a, b in payload["edges"]])
-    exo_names = tuple(v.name for v in exo)
-    roots = tuple(v.name for v in endo if v.name in graph.roots)
-
-    def unkey(key: str, names: tuple[str, ...]) -> World:
-        return World.of(dict(zip(names, key_values(key, names, texts))))
-
-    p_u = DistTable({unkey(k, exo_names): p for k, p in payload["p_u"].items()})
-    responses = {
-        unkey(uk, exo_names): {unkey(rk, roots): World.of(dict(w)) for rk, w in per_root.items()}
-        for uk, per_root in payload["responses"].items()
-    }
-    return DetSCM(endo, exo, graph, responses, p_u)

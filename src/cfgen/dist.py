@@ -1,8 +1,8 @@
 """Finite probability tables and the two ways to pick from a row.
 
 ``DistTable`` is the universal return type for exact queries: a mapping from
-hashable outcomes to probabilities, validated to be nonnegative and (unless
-explicitly flagged) normalized to 1 within ``NORM_TOL``.
+hashable outcomes to probabilities, validated to be nonnegative and
+normalized to 1 within ``NORM_TOL``.
 
 ``draw`` (inverse CDF) picks an index from a row of probabilities given a
 uniform, and ``argmax`` (perturbed argmax) picks one from a row of
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ModelError
@@ -51,7 +51,6 @@ class DistTable:
     """
 
     entries: Mapping[Hashable, float]
-    unnormalized: bool = field(default=False, compare=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistTable):
@@ -72,7 +71,7 @@ class DistTable:
         # negative entries are rejected above, so this one check catches NaN and inf
         if not math.isfinite(total):
             raise InputError(f"probabilities sum to {total!r}, not a finite number")
-        if not self.unnormalized and abs(total - 1.0) > NORM_TOL:
+        if abs(total - 1.0) > NORM_TOL:
             raise InputError(f"probabilities sum to {total!r}, expected 1 within {NORM_TOL}")
 
     @classmethod
@@ -104,17 +103,13 @@ class DistTable:
     def items(self) -> Iterator[tuple[Hashable, float]]:
         return iter(self.entries.items())
 
-    def sorted_items(self) -> list[tuple[Hashable, float]]:
-        """Entries in a deterministic (repr-based) order, for stable output."""
-        return sorted(self.entries.items(), key=lambda kv: repr(kv[0]))
-
     def project(self, fn: Callable[[Hashable], Hashable]) -> "DistTable":
         """Push the table through ``fn``, accumulating probabilities."""
         acc: dict[Hashable, float] = {}
         for o, p in self.entries.items():
             k = fn(o)
             acc[k] = acc.get(k, 0.0) + p
-        return DistTable(acc, unnormalized=self.unnormalized)
+        return DistTable(acc)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -286,33 +286,21 @@ def _replay(
 
 
 def gumbel_factual_run(
-    lm: ToyLM,
-    x: TokenSeq,
-    params: SamplingParams,
-    seed: int,
-    allow_truncation: bool = False,
+    lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int
 ) -> tuple[TokenSeq, FactualTrace]:
     """Sample an output by per-position max-perturbation noise and record it.
 
-    Truncation parameters void the closeness guarantee of the reused noise,
-    so they are rejected unless explicitly allowed for diagnostics.
+    Truncated params (top-k, top-p) are accepted, but they void the
+    closeness guarantee of the reused noise: a replay can then pick a token
+    the factual run excluded. The command line refuses them for gumbel.
     """
-    if params.truncates and not allow_truncation:
-        raise InputError("top_k/top_p break noise-reuse stability; pass allow_truncation=True")
     return _factual_run(lm, x, params, seed, "gumbel")
 
 
 def gumbel_posterior_noise(
-    lm: ToyLM,
-    x: TokenSeq,
-    y: TokenSeq,
-    params: SamplingParams,
-    seed: int,
-    allow_truncation: bool = False,
+    lm: ToyLM, x: TokenSeq, y: TokenSeq, params: SamplingParams, seed: int
 ) -> FactualTrace:
     """Hindsight Gumbel noise for an externally observed output."""
-    if params.truncates and not allow_truncation:
-        raise InputError("top_k/top_p break noise-reuse stability; pass allow_truncation=True")
     return _posterior_noise(lm, x, y, params, seed, "gumbel")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .dist import NORM_TOL, DistTable, prob_row
+from .dist import DistTable, prob_row
 from .errors import EnumerationCapError, InputError, ModelError, read_json
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -165,12 +165,6 @@ class World:
             if k == name:
                 return v
         raise KeyError(name)
-
-    def get(self, name: str, default: Hashable = None) -> Hashable:
-        for k, v in self.items:
-            if k == name:
-                return v
-        return default
 
     @property
     def names(self) -> frozenset[str]:
@@ -392,9 +386,7 @@ def validate_model(m: NondetModel) -> ValidationReport:
         for key, row in cpt.rows.items():
             if not set(row.entries) <= child_domain:
                 problems.append(f"{v.name}: row {key!r} has outcomes outside the domain")
-            if not abs(row.total - 1.0) <= NORM_TOL:  # NaN-safe
-                problems.append(f"{v.name}: row {key!r} not normalized (sum={row.total!r})")
-            elif row.is_point_mass:
+            if row.is_point_mass:
                 deterministic += 1
         if deterministic:
             notes.append(f"{v.name}: {deterministic} of {len(cpt.rows)} rows deterministic")
@@ -694,8 +686,7 @@ def check_simple_semantics(
 #  "cpts": {"Y": {"parents": ["X"], "rows": {"0": [0.3, 0.7]}}}}
 #
 # Row keys comma-join the parent values in the declared parent order; row
-# values list probabilities in the child's domain order. Deterministic-model
-# files (``detscm``) read their variables and row keys the same way.
+# values list probabilities in the child's domain order.
 
 
 def model_to_json(m: NondetModel) -> str:
@@ -724,7 +715,9 @@ def model_from_json(text: str) -> NondetModel:
 
 
 def _model_from_payload(payload: dict) -> NondetModel:
-    vars_, texts = vars_from_json(payload["vars"])
+    vars_ = tuple(VarSpec(v["name"], _domain_from_json(v)) for v in payload["vars"])
+    # each value by its ``str``: the text row keys use
+    texts = {v.name: {str(d): d for d in v.domain} for v in vars_}
     graph = CausalGraph.of([v.name for v in vars_], [(a, b) for a, b in payload["edges"]])
     domains = {v.name: v.domain for v in vars_}
     cpts: dict[str, Cpt] = {}
@@ -733,18 +726,12 @@ def _model_from_payload(payload: dict) -> NondetModel:
         owner = f"{child}: "
         rows: dict[tuple, DistTable] = {}
         for key, probs in block["rows"].items():
-            values = key_values(key, parents, texts, owner)
+            values = _key_values(key, parents, texts, owner)
             if child not in domains:
                 raise ModelError(f"table for unknown variable {child!r}")
             rows[values] = prob_row(domains[child], probs, key, owner)
         cpts[child] = Cpt(child, parents, rows)
     return NondetModel(vars_, graph, cpts)
-
-
-def vars_from_json(items: list) -> tuple[tuple[VarSpec, ...], dict[str, dict]]:
-    """A model file's variables, and each one's values by ``str``: the text row keys use."""
-    vars_ = tuple(VarSpec(v["name"], _domain_from_json(v)) for v in items)
-    return vars_, {v.name: {str(d): d for d in v.domain} for v in vars_}
 
 
 def _domain_from_json(v: dict) -> tuple:
@@ -766,7 +753,7 @@ def _domain_from_json(v: dict) -> tuple:
     return tuple(domain)
 
 
-def key_values(key: str, names: tuple[str, ...], texts: Mapping, owner: str = "") -> tuple:
+def _key_values(key: str, names: tuple[str, ...], texts: Mapping, owner: str) -> tuple:
     """The values row ``key`` names, one comma-joined part per variable of
     ``names``; a part that is no value's text stays text, for validation."""
     parts = key.split(",") if key else ()

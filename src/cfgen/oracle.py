@@ -30,7 +30,7 @@ from typing import Callable, Hashable
 from .dist import DistTable, draw, left_sum, max_abs_diff
 from .detscm import DetSCM, det_conditional, det_counterfactual, to_nondet_when_u_irrelevant
 from .detscm import BinaryCfQuery, CanonicalBinarySCM, counterfactual_bounds_binary
-from .detscm import simple_binary_answer
+from .detscm import positivity, simple_binary_answer
 from .errors import EnumerationCapError, InputError
 from .generators import (
     CfQuery,
@@ -382,7 +382,7 @@ def verify_canonical_binary(p: float = 0.3, q: float = 0.7) -> VerificationRepor
         m = scm.to_detscm()
         dist = det_counterfactual(m, World.of({"X": 1, "Y": 1}), World.of({"X": 0}))
         values[label] = left_sum(pr for w, pr in dist.items() if w["Y"] == 0)
-        notes.append(f"{label}: weights {scm.u_weights}, positivity {m.positivity_note()}")
+        notes.append(f"{label}: weights {scm.u_weights}, positivity {positivity(scm.u_weights)}")
     if values["choice_hi"] != 1.0 or values["choice_lo"] != 0.0:
         counterexample = {"flip_query_values": values}
 

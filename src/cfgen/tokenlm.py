@@ -43,10 +43,6 @@ class Vocab:
             raise InputError("vocabulary tokens must be distinct")
 
     @property
-    def empty(self) -> str:
-        return self.tokens[0]
-
-    @property
     def size(self) -> int:
         return len(self.tokens)
 
@@ -337,17 +333,6 @@ def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def next_dist(lm: ToyLM, context: TokenSeq, params: SamplingParams) -> DistTable:
-    """Distribution of the next token after ``context`` under ``params``.
-
-    The context is taken literally: an EMPTY anywhere in it triggers the
-    absorbing rule (strip prompts before querying if that is not intended).
-    """
-    if len(context.ids) >= lm.k:
-        raise InputError(f"context length {len(context.ids)} >= k={lm.k}")
-    return DistTable(dict(zip(lm.vocab.tokens, lm.step_law(params).row(context.ids))))
-
-
 def _prompt_ids(lm: ToyLM, x: TokenSeq) -> tuple[int, ...]:
     ids = x.ids[: x.effective_len]
     if len(ids) > lm.k:
@@ -515,9 +500,11 @@ def _valid_padded_id_tuples(vocab_size: int, k: int) -> list[tuple[int, ...]]:
 # {"vocab": ["</e>", "a", "b"], "k": 3, "type": "table",
 #  "probs": {"": [...], "a": [...], "a b": [...]}}
 #
-# Table keys space-join the context tokens ("" for the empty context); each
-# row lists probabilities in vocabulary order. Bigram models use
-# {"probs": {"a": [...]}, "unigram": [...]} keyed by the last token.
+# Table keys join the context tokens with single spaces ("" for the empty
+# context); each row lists probabilities in vocabulary order. Bigram models
+# use {"probs": {"a": [...]}, "unigram": [...]} keyed by the last token.
+# Every row is one the model reads: no key names EMPTY, and a table
+# context holds fewer than k tokens.
 
 
 def lm_to_json(lm: ToyLM) -> str:
@@ -565,6 +552,19 @@ def _lm_from_payload(payload: dict) -> ToyLM:
                 raise ModelError(f"row {key!r} names {tok!r}, which is not in the vocabulary")
         rows[key] = prob_row(vocab.tokens, probs, key)
     if kind == "table":
-        return ToyLM(vocab, k, kind, table={tuple(key.split()): row for key, row in rows.items()})
-    unigram = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
-    return ToyLM(vocab, k, kind, bigram=rows, unigram=unigram)
+        lm = ToyLM(vocab, k, kind, table={tuple(key.split()): row for key, row in rows.items()})
+    else:
+        unigram = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
+        lm = ToyLM(vocab, k, kind, bigram=rows, unigram=unigram)
+    for key in rows:
+        # after the checks above, so a file they reject keeps its message
+        ctx = key.split() if kind == "table" else [key]
+        if " ".join(ctx) != key:  # else two keys could name one context
+            raise ModelError(f"row {key!r} is not its tokens joined by single spaces")
+        if EMPTY in ctx:
+            raise ModelError(f"row {key!r} names {EMPTY!r}, which ends the output, not a context")
+        if kind == "table" and len(ctx) >= k:
+            raise ModelError(
+                f"row {key!r} has a context of {len(ctx)} tokens; k={k} reads at most {k - 1}"
+            )
+    return lm

@@ -652,6 +652,8 @@ class TestRejectedModels:
 _LM3_PROBS = json.loads((SRC.parent / "fixtures" / "lm3.json").read_text())["probs"]
 _NO_SPACES = "is not a nonempty string without spaces"
 _NOT_IN_VOCAB = "which is not in the vocabulary"
+_NOT_JOINED = "is not its tokens joined by single spaces"
+_NAMES_EMPTY = "names '</e>', which ends the output, not a context"
 
 
 @pytest.mark.parametrize(
@@ -670,10 +672,27 @@ _NOT_IN_VOCAB = "which is not in the vocabulary"
         ({"vocab": {"</e>": 1, "a": 2, "b": 3}}, "vocab must be a list of tokens"),
         ({"probs": {**_LM3_PROBS, "a b": [True, 0, 0]}}, "row 'a b' must be a list of numbers"),
         ({"probs": {**_LM3_PROBS, "a b": "abc"}}, "row 'a b' must be a list of numbers"),
+        # rows the model would never read, or would read in place of another
+        ({"probs": {**_LM3_PROBS, "a  b": [1, 0, 0]}}, f"row 'a  b' {_NOT_JOINED}"),
+        ({"probs": {**_LM3_PROBS, " a": [1, 0, 0]}}, f"row ' a' {_NOT_JOINED}"),
+        ({"probs": {**_LM3_PROBS, "</e> a": [1, 0, 0]}}, f"row '</e> a' {_NAMES_EMPTY}"),
+        (
+            {"type": "bigram", "probs": {"a": [0.2, 0.5, 0.3], "b": [0.5, 0.25, 0.25],
+                                         "</e>": [1, 0, 0]}, "unigram": [0, 0.6, 0.4]},
+            f"row '</e>' {_NAMES_EMPTY}",
+        ),
+        (
+            {"probs": {**_LM3_PROBS, "a b a": [1, 0, 0]}},
+            "row 'a b a' has a context of 3 tokens; k=3 reads at most 2",
+        ),
+        # the checks above come after this one, which every key would fail too
+        ({"k": 0}, "k must be at least 1"),
     ],
     ids=[
         "table_key", "table_key_in_context", "bigram_key", "vocab_space", "vocab_numbers",
-        "vocab_empty", "vocab_object", "row_boolean", "row_string",
+        "vocab_empty", "vocab_object", "row_boolean", "row_string", "table_key_two_spaces",
+        "table_key_leading_space", "table_key_names_empty", "bigram_key_names_empty",
+        "table_key_too_long", "k_zero",
     ],
 )
 def test_token_model_names_only_its_vocabulary(capsys, fixture_dir, tmp_path, changes, message):
@@ -838,7 +857,6 @@ class TestTruncationFlags:
         )
         assert (code, out) == (EXIT_CONFIG, "")
         assert "--top-k/--top-p" in err and "gumbel" in err
-        assert "allow_truncation" not in err
 
     def test_its_still_takes_them(self, capsys, fixture_dir):
         code, out, _ = run(

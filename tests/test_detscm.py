@@ -7,6 +7,7 @@ Claims:
     - noise-independent models convert to equivalent chance models
     - identification bounds for the flip query are [0, 1] at p=0.3, q=0.7,
       and the resampling answer always lands inside them
+    - ``positivity`` reads a noise prior with a zero weight as the boundary
     - ``exogenize`` builds a deterministic model that reconstructs the step
       marginals, responds through ``draw``, and whose counterfactual is the
       inverse-transform window overlap
@@ -16,7 +17,6 @@ Claims:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 import pytest
@@ -32,9 +32,8 @@ from cfgen.detscm import (
     counterfactual_bounds_binary,
     det_conditional,
     det_counterfactual,
-    detscm_from_json,
-    detscm_to_json,
     exogenize,
+    positivity,
     simple_binary_answer,
     to_nondet_when_u_irrelevant,
 )
@@ -90,11 +89,19 @@ class TestCanonicalBinary:
         # negate type at flipped cause
         assert m.apply(World.of({"U": 1}), World.of({"X": 0}))["Y"] == 1
 
+    def test_roots_are_worked_out_once(self):
+        m = CHOICE_HI.to_detscm()
+        assert (m.roots, m.non_roots) == (("X",), ("Y",))
+        assert m.roots is m.roots and m.non_roots is m.non_roots
+
     def test_boundary_flag(self):
-        assert CHOICE_HI.is_boundary
+        assert positivity(CHOICE_HI.u_weights) == "boundary (non-positive)"
         interior = CanonicalBinarySCM.from_free_weight(P, Q, 0.1)
-        assert not interior.is_boundary
-        assert not interior.to_detscm().has_boundary_weights
+        assert positivity(interior.u_weights) == "positive"
+        assert positivity(interior.to_detscm().p_u.entries.values()) == "positive"
+        assert positivity(counterfactual_bounds_binary(P, Q, FLIP_QUERY).arg_lo) == (
+            "boundary (non-positive)"
+        )
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(InputError):
@@ -332,35 +339,3 @@ def test_det_counterfactual_is_the_window_overlap(case):
             a, b = cf_windows.get(s, (0.0, 0.0))
             expected = max(0.0, min(hi, b) - max(lo, a)) / steps[f].prob(o)
             assert abs(law.prob(World.of({"C": c, "T": s})) - expected) <= 1e-12
-
-
-class TestDetJson:
-    def test_round_trip(self):
-        m = _diagonal_scm()
-        text = detscm_to_json(m)
-        again = detscm_from_json(text)
-        assert detscm_to_json(again) == text
-        v = World.of({"X": "0", "Y": "1"})
-        assert det_conditional(again, v) == det_conditional(m, v)
-
-    def test_round_trip_with_numeric_domains(self):
-        # Y = X xor U, with U in [0, 1]: the file's keys are the numbers' text
-        x, y, u = VarSpec("X", (0, 1)), VarSpec("Y", (0, 1)), VarSpec("U", (0, 1))
-        g = CausalGraph.of(["X", "Y"], [("X", "Y")])
-        responses = {
-            World.of({"U": uu}): {
-                World.of({"X": xv}): World.of({"X": xv, "Y": xv ^ uu}) for xv in (0, 1)
-            }
-            for uu in (0, 1)
-        }
-        p_u = DistTable({World.of({"U": 0}): 0.5, World.of({"U": 1}): 0.5})
-        m = DetSCM((x, y), (u,), g, responses, p_u)
-        text = detscm_to_json(m)
-        assert json.loads(text)["p_u"] == {"0": 0.5, "1": 0.5}
-        again = detscm_from_json(text)
-        assert again == m
-        assert detscm_to_json(again) == text
-        v = World.of({"X": 1, "Y": 0})
-        assert det_counterfactual(again, v, World.of({"X": 0})) == det_counterfactual(
-            m, v, World.of({"X": 0})
-        )

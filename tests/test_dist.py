@@ -25,14 +25,12 @@ def test_rejects_negative():
 def test_rejects_unnormalized_by_default():
     with pytest.raises(InputError):
         DistTable({"a": 0.5, "b": 0.4})
-    DistTable({"a": 0.5, "b": 0.4}, unnormalized=True)  # explicit opt-out
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("unnormalized", [False, True])
-def test_rejects_non_finite(bad, unnormalized):
+def test_rejects_non_finite(bad):
     with pytest.raises(InputError, match="not a finite number"):
-        DistTable({"a": bad, "b": 0.5}, unnormalized=unnormalized)
+        DistTable({"a": bad, "b": 0.5})
 
 
 def test_support_drops_zeros():
@@ -121,6 +119,7 @@ def test_max_abs_diff_is_the_max_over_the_union(pair):
 
 
 def test_max_abs_diff_of_empty_tables_is_zero():
-    empty = DistTable({}, unnormalized=True)
-    assert max_abs_diff(empty, empty) == 0.0
-    assert max_abs_diff(empty, DistTable.point("a")) == 1.0
+    # no table is empty, as its sum would not be 1; disjoint supports run both loops
+    with pytest.raises(InputError):
+        DistTable({})
+    assert max_abs_diff(DistTable.point("b"), DistTable.point("a")) == 1.0

@@ -156,11 +156,6 @@ class TestGumbel:
         cond = DistTable.from_counts(counts)
         assert tvd(post, cond) <= 0.02
 
-    def test_truncation_requires_opt_in(self, asym):
-        lm, x, _ = asym
-        with pytest.raises(InputError, match="allow_truncation"):
-            gumbel_factual_run(lm, x, SamplingParams(top_k=1), seed=1)
-
     def test_length_mismatch_rejected(self, lm3):
         v = lm3.vocab
         _, trace = gumbel_factual_run(lm3, v.seq(["a"]), PARAMS, 5)
@@ -523,9 +518,9 @@ class TestTraces:
         real = lm.vocab.real_tokens
         x = lm.vocab.seq([real[prompt % len(real)]])
         if kind == "gumbel":
-            y, trace = gumbel_factual_run(lm, x, params, seed, allow_truncation=True)
+            y, trace = gumbel_factual_run(lm, x, params, seed)
             if posterior:
-                trace = gumbel_posterior_noise(lm, x, y, params, seed + 1, allow_truncation=True)
+                trace = gumbel_posterior_noise(lm, x, y, params, seed + 1)
         else:
             y, trace = its_factual_run(lm, x, params, seed)
             if posterior:

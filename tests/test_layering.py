@@ -9,6 +9,10 @@ a lower rank; among the leaves, only ``errors`` may be imported, since
 every layer raises its exceptions. This keeps one home per concept: the
 shared ``draw`` and ``argmax`` live in ``dist``, so ``detscm`` responds
 through ``draw`` without importing the token layer.
+
+Every name a module imports is read in that module (the package façade
+aside, whose imports are its exports), so a deletion cannot strand an
+import.
 """
 
 from __future__ import annotations
@@ -57,6 +61,19 @@ def package_imports(path: Path) -> set[str]:
     return found
 
 
+def unused_imports(path: Path) -> list[str]:
+    """The names a source file imports, at any depth in it, and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
 def may_import(importer: str, imported: str) -> bool:
     if imported == "errors":
         return importer != "errors"
@@ -89,6 +106,27 @@ def test_checker_sees_every_import_form(tmp_path):
     assert not may_import("detscm", "tokenlm")
     assert not may_import("dist", "seeding")
     assert may_import("dist", "errors") and may_import("detscm", "dist")
+
+
+@pytest.mark.parametrize("module", sorted(set(RANK) - {"__init__"}))
+def test_every_import_is_used(module):
+    unused = unused_imports(PACKAGE / f"{module}.py")
+    assert not unused, f"{module} imports {unused} and never uses them"
+
+
+def test_unused_import_checker_sees_what_is_read(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from .errors import InputError, ModelError as Bad\n"
+        "from .dist import draw\n"
+        "def f(x: Bad) -> None:\n"
+        "    from .nondet import World\n"
+        "    raise InputError(json.dumps(os.path.sep))\n"
+    )
+    assert unused_imports(src) == ["World", "draw"]
 
 
 def test_moved_names_still_resolve():

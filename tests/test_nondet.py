@@ -53,16 +53,6 @@ class TestValidate:
     def test_well_formed(self, binary_chain):
         assert validate_model(binary_chain).ok
 
-    def test_unnormalized_row(self):
-        x = VarSpec("X", ("0", "1"))
-        y = VarSpec("Y", ("0", "1"))
-        g = CausalGraph.of(["X", "Y"], [("X", "Y")])
-        bad = DistTable({"0": 0.5, "1": 0.4}, unnormalized=True)
-        cpt = Cpt("Y", ("X",), {("0",): bad, ("1",): DistTable({"0": 0.5, "1": 0.5})})
-        rep = validate_model(NondetModel((x, y), g, {"Y": cpt}))
-        assert not rep.ok
-        assert any("not normalized" in p for p in rep.problems)
-
     def test_cycle(self):
         x = VarSpec("X", ("0", "1"))
         y = VarSpec("Y", ("0", "1"))

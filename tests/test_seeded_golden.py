@@ -69,9 +69,9 @@ def _law(d) -> list[list]:
 
 
 def _seeded(lm, x, x_star, params, seed) -> dict:
-    # truncation is allowed so the truncated cases pin the gumbel path too
-    y_g, g_trace = gumbel_factual_run(lm, x, params, seed, allow_truncation=True)
-    g_post = gumbel_posterior_noise(lm, x, y_g, params, seed, allow_truncation=True)
+    # the truncated cases pin the gumbel path too
+    y_g, g_trace = gumbel_factual_run(lm, x, params, seed)
+    g_post = gumbel_posterior_noise(lm, x, y_g, params, seed)
     y_i, i_trace = its_factual_run(lm, x, params, seed)
     i_post = its_posterior_noise(lm, x, y_i, params, seed)
     y_star = gumbel_cf_sample(lm, g_trace, x_star)

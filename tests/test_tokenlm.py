@@ -29,6 +29,7 @@ from cfgen.nondet import World, check_simple_semantics, joint_prob, validate_mod
 from cfgen.oracle import empirical_dist, random_table_lm
 from cfgen.seeding import make_rng
 from cfgen.tokenlm import (
+    EMPTY,
     SamplingParams,
     TokenSeq,
     ToyLM,
@@ -36,7 +37,6 @@ from cfgen.tokenlm import (
     compile_to_nondet,
     lm_from_json,
     lm_to_json,
-    next_dist,
     sample_output,
     seq_dist,
     zero_temp_fn,
@@ -49,8 +49,13 @@ def one_step_lm(probs: dict[str, float], vocab: Vocab = V3, k: int = 2) -> ToyLM
     table = {(): DistTable(probs)}
     for length in range(1, k):
         for ctx in itertools.product(vocab.real_tokens, repeat=length):
-            table[ctx] = DistTable.point(vocab.empty)
+            table[ctx] = DistTable.point(EMPTY)
     return ToyLM(vocab, k, "table", table=table)
+
+
+def next_row(lm: ToyLM, ids: tuple[int, ...], params: SamplingParams) -> dict[str, float]:
+    """The reshaped row after context ``ids``, keyed by token."""
+    return dict(zip(lm.vocab.tokens, lm.step_law(params).row(ids)))
 
 
 class TestTokenSeq:
@@ -96,64 +101,64 @@ class TestTokenSeq:
 
 class TestNextDist:
     def test_identity_at_unit_temperature(self, lm3):
-        d = next_dist(lm3, V3.seq(["a"]), SamplingParams())
-        assert d.prob("</e>") == 0.2 and d.prob("a") == 0.5 and d.prob("b") == 0.3
+        d = next_row(lm3, (1,), SamplingParams())
+        assert d == {"</e>": 0.2, "a": 0.5, "b": 0.3}
 
     def test_zero_temperature_argmax(self):
         lm = one_step_lm({"</e>": 0.0, "a": 0.5, "b": 0.5})
         # tie between a and b resolves to the lower vocabulary index
-        d = next_dist(lm, TokenSeq(()), SamplingParams(temperature=0.0))
-        assert d.prob("a") == 1.0
+        d = next_row(lm, (), SamplingParams(temperature=0.0))
+        assert d["a"] == 1.0
 
     def test_top_k_truncates_and_renormalizes(self):
         lm = one_step_lm({"</e>": 0.2, "a": 0.5, "b": 0.3})
-        d = next_dist(lm, TokenSeq(()), SamplingParams(top_k=2))
-        assert d.prob("a") == pytest.approx(0.625, abs=1e-12)
-        assert d.prob("b") == pytest.approx(0.375, abs=1e-12)
-        assert d.prob("</e>") == 0.0
+        d = next_row(lm, (), SamplingParams(top_k=2))
+        assert d["a"] == pytest.approx(0.625, abs=1e-12)
+        assert d["b"] == pytest.approx(0.375, abs=1e-12)
+        assert d["</e>"] == 0.0
 
     def test_top_p_smallest_prefix(self):
         lm = one_step_lm({"</e>": 0.2, "a": 0.5, "b": 0.3})
-        d = next_dist(lm, TokenSeq(()), SamplingParams(top_p=0.7))
-        assert d.prob("a") == pytest.approx(0.625, abs=1e-12)
-        assert d.prob("b") == pytest.approx(0.375, abs=1e-12)
-        d1 = next_dist(lm, TokenSeq(()), SamplingParams(top_p=0.5))
-        assert d1.prob("a") == 1.0
+        d = next_row(lm, (), SamplingParams(top_p=0.7))
+        assert d["a"] == pytest.approx(0.625, abs=1e-12)
+        assert d["b"] == pytest.approx(0.375, abs=1e-12)
+        d1 = next_row(lm, (), SamplingParams(top_p=0.5))
+        assert d1["a"] == 1.0
 
     def test_temperature_reshapes_by_power(self):
         lm = one_step_lm({"</e>": 0.2, "a": 0.5, "b": 0.3})
-        d = next_dist(lm, TokenSeq(()), SamplingParams(temperature=2.0))
+        d = next_row(lm, (), SamplingParams(temperature=2.0))
         z = math.sqrt(0.2) + math.sqrt(0.5) + math.sqrt(0.3)
-        assert d.prob("a") == pytest.approx(math.sqrt(0.5) / z, abs=1e-12)
+        assert d["a"] == pytest.approx(math.sqrt(0.5) / z, abs=1e-12)
 
     def test_small_temperature_approaches_argmax(self):
         lm = one_step_lm({"</e>": 0.2, "a": 0.5, "b": 0.3})
-        d = next_dist(lm, TokenSeq(()), SamplingParams(temperature=1e-6))
-        assert d.prob("a") >= 0.999
+        d = next_row(lm, (), SamplingParams(temperature=1e-6))
+        assert d["a"] >= 0.999
 
     def test_absorbing_overrides_params(self, lm3):
-        ctx = TokenSeq((1, 0))  # "a" then EMPTY
+        ctx = (1, 0)  # "a" then EMPTY
         for params in (
             SamplingParams(),
             SamplingParams(temperature=0.0),
             SamplingParams(temperature=3.0, top_k=1),
             SamplingParams(top_p=0.1),
         ):
-            d = next_dist(lm3, ctx, params)
-            assert d.prob("</e>") == 1.0
+            d = next_row(lm3, ctx, params)
+            assert d["</e>"] == 1.0
 
     def test_temperature_runs_before_top_p(self):
         # flattening first keeps two tokens at top_p=0.5; the other order
         # would collapse to a point mass
         lm = one_step_lm({"</e>": 0.2, "a": 0.5, "b": 0.3})
-        d = next_dist(lm, TokenSeq(()), SamplingParams(temperature=3.0, top_p=0.5))
+        d = next_row(lm, (), SamplingParams(temperature=3.0, top_p=0.5))
         cube = {t: p ** (1.0 / 3.0) for t, p in (("</e>", 0.2), ("a", 0.5), ("b", 0.3))}
         z = sum(cube.values())
         flat = {t: v / z for t, v in cube.items()}
         kept = flat["a"] + flat["b"]
-        assert d.prob("a") == pytest.approx(flat["a"] / kept, abs=1e-9)
-        assert d.prob("b") == pytest.approx(flat["b"] / kept, abs=1e-9)
-        assert d.prob("</e>") == 0.0
+        assert d["a"] == pytest.approx(flat["a"] / kept, abs=1e-9)
+        assert d["b"] == pytest.approx(flat["b"] / kept, abs=1e-9)
+        assert d["</e>"] == 0.0
 
     def test_each_stage_normalizes(self, lm3):
         for params in (
@@ -161,12 +166,8 @@ class TestNextDist:
             SamplingParams(temperature=2.5, top_k=2),
             SamplingParams(temperature=0.5, top_k=2, top_p=0.8),
         ):
-            d = next_dist(lm3, V3.seq(["b"]), params)
-            assert d.total == pytest.approx(1.0, abs=1e-9)
-
-    def test_context_length_bound(self, lm3):
-        with pytest.raises(InputError):
-            next_dist(lm3, V3.seq(["a", "b", "a"]), SamplingParams())
+            d = next_row(lm3, (2,), params)
+            assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=40, derandomize=True)
@@ -207,10 +208,10 @@ class TestSeqDist:
     def test_first_token_marginal_matches_next_dist(self, lm3):
         x = V3.seq(["b"])
         d = seq_dist(lm3, x, SamplingParams())
-        nd = next_dist(lm3, x, SamplingParams())
+        nd = next_row(lm3, x.ids, SamplingParams())
         for tok in V3.tokens:
             got = sum(p for s, p in d.items() if s.ids[1] == V3.index(tok))
-            assert got == pytest.approx(nd.prob(tok), abs=1e-12)
+            assert got == pytest.approx(nd[tok], abs=1e-12)
 
     def test_cap(self, lm3):
         with pytest.raises(EnumerationCapError):
@@ -301,8 +302,8 @@ class TestLmJson:
         )
         assert lm_from_json(lm_to_json(lm)) == lm
         # bigram backoff: empty context uses the unigram row
-        d = next_dist(lm, TokenSeq(()), SamplingParams())
-        assert d.prob("a") == 0.5
+        d = next_row(lm, (), SamplingParams())
+        assert d["a"] == 0.5
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
