@@ -54,9 +54,10 @@ class DetSCM:
         object.__setattr__(
             self, "_non_roots", tuple(v.name for v in self.endo if v.name not in root_set)
         )
-        endo_names = frozenset(v.name for v in self.endo)
-        exo_names = frozenset(v.name for v in self.exo)
-        root_names = frozenset(self._roots)
+        # sorted, as a world's ``names`` are
+        endo_names = tuple(sorted({v.name for v in self.endo}))
+        exo_names = tuple(sorted({v.name for v in self.exo}))
+        root_names = tuple(sorted(set(self._roots)))
         noise_worlds = set(self.noise_worlds())
         if set(self.p_u.entries) != noise_worlds:
             raise ModelError("noise prior does not cover exactly the noise domain")
@@ -77,6 +78,7 @@ class DetSCM:
                     raise ModelError("response does not restrict to the identity on roots")
         # what every query checks its worlds against
         object.__setattr__(self, "_names", endo_names)
+        object.__setattr__(self, "_root_names", root_names)
         object.__setattr__(self, "_root_worlds", frozenset(expected_roots))
 
     @property
@@ -143,7 +145,7 @@ def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
 def _require_roots(m: DetSCM, r: World) -> None:
     """``require_roots``, after one set lookup among the root assignments."""
     if r not in m._root_worlds:
-        require_roots(m.roots, m.var, r)
+        require_roots(m.roots, m._root_names, m.var, r)
 
 
 def to_nondet_when_u_irrelevant(m: DetSCM) -> NondetModel:

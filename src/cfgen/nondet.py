@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -140,50 +140,98 @@ class Cpt:
             ) from None
 
 
-@dataclass(frozen=True)
 class World:
-    """An assignment of values to variables, canonically ordered and hashable."""
+    """An assignment of values to variables, canonically ordered and hashable.
 
-    items: tuple[tuple[str, Hashable], ...]
+    ``names`` holds the variable names in sorted order and ``values`` the
+    values in that order. Every world one plan's walk makes shares the
+    plan's ``names`` tuple, so a leaf costs one tuple of values and no
+    (name, value) pairs. A world hashes as its ``values`` and equals another
+    world with equal ``names`` and ``values``. ``World(items)`` sorts
+    (name, value) pairs; ``World.of`` takes a mapping. Immutable, like a
+    frozen dataclass.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(sorted(self.items, key=lambda kv: kv[0])))
+    __slots__ = ("names", "values")
+    names: tuple[str, ...]
+    values: tuple[Hashable, ...]
+
+    def __init__(self, items: Iterable[tuple[str, Hashable]]) -> None:
+        pairs = sorted(items, key=itemgetter(0))
+        _set_names(self, tuple([k for k, _ in pairs]))
+        _set_values(self, tuple([v for _, v in pairs]))
 
     @classmethod
     def of(cls, assignment: Mapping[str, Hashable]) -> "World":
-        return cls(tuple(assignment.items()))
+        names = sorted(assignment)
+        return cls._canonical(tuple(names), tuple([assignment[k] for k in names]))
 
     @classmethod
-    def _canonical(cls, items: tuple[tuple[str, Hashable], ...]) -> "World":
-        """Trusted constructor: ``items`` are already sorted by name."""
-        world = object.__new__(cls)
-        object.__setattr__(world, "items", items)
+    def _canonical(cls, names: tuple[str, ...], values: tuple[Hashable, ...]) -> "World":
+        """Trusted constructor: ``names`` are sorted and ``values`` in their order."""
+        world = _new(cls)
+        _set_names(world, names)
+        _set_values(world, values)
         return world
 
-    def __getitem__(self, name: str) -> Hashable:
-        for k, v in self.items:
-            if k == name:
-                return v
-        raise KeyError(name)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return World, (self.items,)
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values and self.names == other.names
+
+    def __repr__(self) -> str:
+        return f"World(items={self.items!r})"
 
     @property
-    def names(self) -> frozenset[str]:
-        return frozenset(k for k, _ in self.items)
+    def items(self) -> tuple[tuple[str, Hashable], ...]:
+        return tuple(zip(self.names, self.values))
+
+    def __getitem__(self, name: str) -> Hashable:
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
 
     def as_dict(self) -> dict[str, Hashable]:
-        return dict(self.items)
+        return dict(zip(self.names, self.values))
 
     def restrict(self, names: Iterable[str]) -> "World":
         keep = set(names)
-        return World(tuple((k, v) for k, v in self.items if k in keep))
+        picked = [kv for kv in zip(self.names, self.values) if kv[0] in keep]
+        kept_names, kept_values = zip(*picked) if picked else ((), ())
+        return World._canonical(kept_names, kept_values)
 
     def extends(self, sub: "World") -> bool:
-        mine = self.as_dict()
-        return all(k in mine and mine[k] == v for k, v in sub.items)
+        index, values = self.names.index, self.values
+        try:
+            for k, v in zip(sub.names, sub.values):
+                if not values[index(k)] == v:
+                    return False
+        except ValueError:  # a name of ``sub`` that this world lacks
+            return False
+        return True
 
     def values_at(self, names: Iterable[str]) -> tuple[Hashable, ...]:
-        mine = self.as_dict()
-        return tuple(mine[n] for n in names)
+        index, values = self.names.index, self.values
+        return tuple([values[index(n)] for n in names])
+
+
+# the trusted constructor's stores, past the frozen ``__setattr__``
+_new = object.__new__
+_set_names = World.__dict__["names"].__set__
+_set_values = World.__dict__["values"].__set__
 
 
 @dataclass(frozen=True)
@@ -227,27 +275,30 @@ class NondetModel:
 class _Plan:
     """What every query on one model reads, worked out once.
 
-    The shape (names, roots, non-roots and their sets), and one step per
+    The shape (names, roots, non-roots, and the sorted tuples of the names
+    and of the roots that worlds are checked against), and one step per
     variable in topological order: ``(name, cpt, parent positions, fault,
     pick)``, where ``pick`` takes the parent values out of a walk's values.
     ``cpt`` is None at a root; ``fault`` is raised when the walk reaches a
     step it cannot pass. ``perm`` orders the positions by name, and
-    ``pick_sorted`` applies it, so a walk's values make a canonical
-    ``World``. ``steps`` is None on a cycle. Holds the model's tables, not
-    the model, so there is no reference cycle.
+    ``pick_sorted`` applies it, so a walk's values and ``sorted_names`` make
+    a canonical ``World``; ``sorted_names`` is ``names`` itself when the
+    graph orders exactly the model's variables. ``steps`` is None on a
+    cycle. Holds the model's tables, not the model, so there is no
+    reference cycle.
     """
 
     __slots__ = (
-        "var_names", "names", "roots", "root_set", "non_roots", "steps", "sorted_names", "perm",
+        "var_names", "names", "roots", "root_names", "non_roots", "steps", "sorted_names", "perm",
         "pick_sorted",
     )
 
     def __init__(self, m: NondetModel) -> None:
         root_set = m.graph.roots
         self.var_names = tuple(v.name for v in m.vars)
-        self.names = frozenset(self.var_names)
+        self.names = tuple(sorted(set(self.var_names)))
         self.roots = tuple(n for n in self.var_names if n in root_set)
-        self.root_set = frozenset(self.roots)
+        self.root_names = tuple(sorted(set(self.roots)))
         self.non_roots = tuple(n for n in self.var_names if n not in root_set)
         try:
             order = m.graph.topological_order()
@@ -257,7 +308,7 @@ class _Plan:
         position = {name: i for i, name in enumerate(order)}
         steps = []
         for i, name in enumerate(order):
-            if name in self.root_set:
+            if name in root_set:
                 steps.append((name, None, (), None, None))
                 continue
             cpt = m.cpts.get(name)
@@ -270,7 +321,8 @@ class _Plan:
                 fault = f"{name}: table parents do not match graph parents"
             steps.append((name, cpt, parents, fault, _picker(parents)))
         self.steps = tuple(steps)
-        self.sorted_names = tuple(sorted(order))
+        sorted_names = tuple(sorted(order))
+        self.sorted_names = self.names if sorted_names == self.names else sorted_names
         self.perm = tuple(position[name] for name in self.sorted_names)
         self.pick_sorted = _picker(self.perm)
 
@@ -396,18 +448,22 @@ def validate_model(m: NondetModel) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems), tuple(notes))
 
 
-def require_total(names: frozenset[str], v: World) -> None:
-    """The evidence check every model kind makes: ``v`` assigns exactly ``names``."""
+def require_total(names: tuple[str, ...], v: World) -> None:
+    """The evidence check every model kind makes: ``v`` assigns exactly the
+    sorted ``names``."""
     if v.names != names:
-        missing = names - v.names
-        extra = v.names - names
+        missing = set(names).difference(v.names)
+        extra = set(v.names).difference(names)
         raise InputError(f"world not total (missing {sorted(missing)}, extra {sorted(extra)})")
 
 
-def require_roots(roots: tuple[str, ...], var: Callable[[str], VarSpec], r: World) -> None:
+def require_roots(
+    roots: tuple[str, ...], names: tuple[str, ...], var: Callable[[str], VarSpec], r: World
+) -> None:
     """The root-assignment check every model kind makes: ``r`` assigns exactly
-    ``roots``, each a value in the domain of its variable ``var(name)``."""
-    if r.names != frozenset(roots):
+    ``roots`` (sorted: ``names``), each a value in the domain of its variable
+    ``var(name)``."""
+    if r.names != names:
         raise InputError(f"expected an assignment to exactly the roots {roots!r}")
     for name in roots:
         var(name).index(r[name])
@@ -420,7 +476,7 @@ def joint_prob(m: NondetModel, v: World, r: World) -> float:
     no factor because they carry no marginal.
     """
     require_total(_plan_of(m).names, v)
-    require_roots(m.roots, m.var, r)
+    require_roots(m.roots, _plan_of(m).root_names, m.var, r)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
     return _actual_rows(m, v)[0]
@@ -541,8 +597,8 @@ def _positive_worlds(
             if len(children) > room:
                 raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
         level = children
-    sorted_names, pick = plan.sorted_names, plan.pick_sorted
-    return {World._canonical(tuple(zip(sorted_names, pick(values)))): prob for values, prob in level}
+    names, pick, canonical = plan.sorted_names, plan.pick_sorted, World._canonical
+    return {canonical(names, pick(values)): prob for values, prob in level}
 
 
 def counterfactual_dist(
@@ -556,7 +612,7 @@ def counterfactual_dist(
     and equals ``evidence_update(m, v)`` walked the same way. Support only
     contains worlds extending ``r_star``.
     """
-    require_roots(m.roots, m.var, r_star)
+    require_roots(m.roots, _plan_of(m).root_names, m.var, r_star)
     return DistTable(_positive_worlds(m, r_star, cap, _observed_rows(m, v)))
 
 
@@ -603,7 +659,7 @@ def counterfactual_dist_cases(
     domains, no model rewriting) so the two evaluators stay independent.
     """
     require_total(_plan_of(m).names, v)
-    require_roots(m.roots, m.var, r_star)
+    require_roots(m.roots, _plan_of(m).root_names, m.var, r_star)
     r = v.restrict(m.roots)
     if joint_prob(m, v, r) <= 0.0:
         raise ModelError("impossible evidence: observed world has zero probability")

@@ -504,7 +504,9 @@ def _valid_padded_id_tuples(vocab_size: int, k: int) -> list[tuple[int, ...]]:
 # context); each row lists probabilities in vocabulary order. Bigram models
 # use {"probs": {"a": [...]}, "unigram": [...]} keyed by the last token.
 # Every row is one the model reads: no key names EMPTY, and a table
-# context holds fewer than k tokens.
+# context holds fewer than k tokens. Every row the model can read is
+# there: a prompt can be any EMPTY-free context of fewer than k tokens, so
+# a table needs all of them and, for k >= 2, a bigram model every token.
 
 
 def lm_to_json(lm: ToyLM) -> str:
@@ -567,4 +569,20 @@ def _lm_from_payload(payload: dict) -> ToyLM:
             raise ModelError(
                 f"row {key!r} has a context of {len(ctx)} tokens; k={k} reads at most {k - 1}"
             )
+    real = vocab.real_tokens
+    if kind == "bigram":
+        if k > 1:  # at k = 1 no context holds a token
+            for tok in real:
+                if tok not in rows:
+                    raise ModelError(f"no row for token {tok!r}; k={k} reads a row for every token")
+        return lm
+    # shortest first, so a missing context is met after at most len(rows) present
+    # ones; with no real token the empty context is the only one, whatever k is
+    for n in range(k if real else 1):
+        for ctx in itertools.product(real, repeat=n):
+            if ctx not in lm.table:
+                raise ModelError(
+                    f"no row for context {' '.join(ctx)!r}; k={k} reads every context "
+                    f"of fewer than {k} tokens"
+                )
     return lm

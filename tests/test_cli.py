@@ -701,6 +701,54 @@ def test_token_model_names_only_its_vocabulary(capsys, fixture_dir, tmp_path, ch
     assert err == f"error (model): {message}\n"
 
 
+def _without(probs, *keys):
+    return {key: row for key, row in probs.items() if key not in keys}
+
+
+_EVERY_CONTEXT = "k=3 reads every context of fewer than 3 tokens"
+_BIGRAM_ROWS = {"a": [0.2, 0.5, 0.3], "b": [0.5, 0.25, 0.25]}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"probs": _without(_LM3_PROBS, "b a")}, f"no row for context 'b a'; {_EVERY_CONTEXT}"),
+        ({"probs": _without(_LM3_PROBS, "")}, f"no row for context ''; {_EVERY_CONTEXT}"),
+        # shortest first
+        ({"probs": _without(_LM3_PROBS, "b a", "b")}, f"no row for context 'b'; {_EVERY_CONTEXT}"),
+        (
+            {"type": "bigram", "probs": _without(_BIGRAM_ROWS, "b"), "unigram": [0, 0.6, 0.4]},
+            "no row for token 'b'; k=3 reads a row for every token",
+        ),
+    ],
+    ids=["table_two_tokens", "table_empty_context", "table_shortest_first", "bigram"],
+)
+@pytest.mark.parametrize("prompts", [("a", "b"), ("b", "a")], ids=["a_to_b", "b_to_a"])
+def test_token_model_needs_every_row_a_prompt_can_reach(
+    capsys, fixture_dir, tmp_path, changes, message, prompts
+):
+    # before any query runs, whichever rows the query itself would read
+    argv = _exact_simple(_token_model_with(fixture_dir, tmp_path, **changes))
+    argv[4], argv[6] = prompts
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_MODEL, "")
+    assert err == f"error (model): {message}\n"
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # at k = 1 the empty context is the only one, so no bigram row is read
+        {"type": "bigram", "k": 1, "probs": {}, "unigram": [0, 0.6, 0.4]},
+        {"k": 1, "probs": {"": [0, 0.6, 0.4]}},
+    ],
+    ids=["bigram_k1", "table_k1"],
+)
+def test_token_model_with_every_reachable_row_loads(capsys, fixture_dir, tmp_path, changes):
+    code, _, err = run(_exact_simple(_token_model_with(fixture_dir, tmp_path, **changes)), capsys)
+    assert (code, err) == (EXIT_OK, "")
+
+
 class TestErrorCodeMapping:
     def test_each_error_class_has_its_own_exit_code(self, capsys, monkeypatch):
         # route each package error through main's handler via a stub command

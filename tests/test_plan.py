@@ -11,12 +11,16 @@ Claims exercised here:
     - the level-order walk gives the depth-first walk's entries, in its order
       and with its floats, and fails past the same caps; where a malformed
       model has two faults, it reports the one its level order meets first
-    - a World hashes to ``hash((items,))``, whatever values it holds,
-      ``TokenSeq`` values with a kept hash among them
+    - every world one walk makes shares the plan's sorted name tuple
+    - the evidence checks of ``joint_prob`` and both evaluators fail with
+      the same messages, byte for byte
+    - a World hashes to ``hash(values)``, whatever values it holds,
+      ``TokenSeq`` values with a kept hash among them, and is immutable
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -179,6 +183,22 @@ def test_plan_shape_matches_graph(three_chain):
     worlds = _positive_worlds(m, w(X=1), DEFAULT_ENUM_CAP)
     assert len(worlds) == 4
     assert all(world.items == World.of(world.as_dict()).items for world in worlds)
+    assert plan.sorted_names is plan.names
+
+
+def assert_worlds_share_the_plan_names(m, v, r_star):
+    names = _plan_of(m).sorted_names
+    prior = _positive_worlds(m, r_star, DEFAULT_ENUM_CAP)
+    for worlds in (prior, counterfactual_dist(m, v, r_star).entries):
+        assert worlds and all(world.names is names for world in worlds)
+
+
+@pytest.mark.parametrize("make_lm", [lm3_model, asymmetric_lm], ids=["lm3", "lm_asym"])
+def test_walked_worlds_share_the_plan_names(make_lm):
+    for instance in compiled_instances(make_lm(), SamplingParams(1.0)):
+        assert_worlds_share_the_plan_names(*instance)
+    for seed in range(20):
+        assert_worlds_share_the_plan_names(*random_instance(seed))
 
 
 # --- the level-order walk against a depth-first reference ---------------------
@@ -200,7 +220,7 @@ def dfs_worlds(m, clamp, cap, observed=None):
         nonlocal visited
         if i == n:
             ordered = tuple(values[j] for j in plan.perm)
-            entries[World._canonical(tuple(zip(plan.sorted_names, ordered)))] = prob
+            entries[World._canonical(plan.sorted_names, ordered)] = prob
             return
         visited += 1
         if visited > cap:
@@ -358,6 +378,26 @@ def test_observed_rows_errors(three_chain):
         _observed_rows(no_y, w(X=0, T=0, Y=0))
 
 
+@pytest.mark.parametrize(
+    "query", [joint_prob, counterfactual_dist, counterfactual_dist_cases], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "v, r, message",
+    [
+        (w(X=0, T=0), w(X=1), "world not total (missing ['Y'], extra [])"),
+        (w(X=0, T=0, Y=0, Z=1), w(X=1), "world not total (missing [], extra ['Z'])"),
+        (w(T=0, Y=0, Z=1), w(X=1), "world not total (missing ['X'], extra ['Z'])"),
+        (w(X=0, T=0, Y=0), w(T=1), "expected an assignment to exactly the roots ('X',)"),
+        (w(X=0, T=0, Y=0), w(X=1, T=0), "expected an assignment to exactly the roots ('X',)"),
+        (w(X=0, T=0, Y=0), w(X=2), "value '2' not in domain of X"),
+    ],
+)
+def test_evidence_check_messages(three_chain, query, v, r, message):
+    with pytest.raises(InputError) as info:
+        query(three_chain, v, r)
+    assert str(info.value) == message
+
+
 def test_evidence_update_keeps_the_table_order(three_chain):
     v = w(X=0, T=0, Y=0)
     reordered = NondetModel(
@@ -383,11 +423,17 @@ VALUES = st.one_of(
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.dictionaries(st.text(min_size=1, max_size=3), VALUES, max_size=5))
-def test_world_hash_is_the_dataclass_hash(assignment):
+def test_world_hash_is_the_value_tuple_hash(assignment):
     by_of = World.of(assignment)
-    by_canonical = World._canonical(tuple(sorted(assignment.items(), key=lambda kv: kv[0])))
+    names = tuple(sorted(assignment))
+    by_canonical = World._canonical(names, tuple(assignment[k] for k in names))
     assert by_of == by_canonical and by_canonical == by_of
-    assert hash(by_of) == hash(by_canonical) == hash((by_of.items,))
+    assert hash(by_of) == hash(by_canonical) == hash(by_of.values)
     assert {by_of: 1}[by_canonical] == 1
+    assert World.of(by_of.as_dict()) == by_of
+    assert World(by_of.items) == by_of and repr(by_of) == f"World(items={by_of.items!r})"
     copy = pickle.loads(pickle.dumps(by_of))
     assert copy == by_of and hash(copy) == hash(by_of)
+    for name in ("names", "values", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(by_of, name, ())
