@@ -148,6 +148,8 @@ def _check_counterfactual_flags(args: argparse.Namespace) -> None:
             raise InputError("sample mode needs --samples >= 1")
         if args.seed is None:
             raise InputError("sample mode needs an explicit --seed")
+    if args.trace is not None and args.method not in ("gumbel", "its"):
+        raise InputError(f"{args.method} does not read --trace; only gumbel and its replay one")
     if args.method in ("gumbel", "its"):
         if args.exact:
             raise InputError(f"{args.method} has no exact mode; use --samples")
@@ -226,6 +228,8 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
             trace = trace_from_json(lm, _read_text(args.trace, "trace"))
             if trace.x != x.stripped():
                 raise InputError("--prompt does not match the trace's factual prompt")
+            if y is not None and y != trace.y:
+                raise InputError("--factual-output does not match the trace's factual output")
             if trace.params != params:
                 raise InputError(
                     f"--temperature/--top-k/--top-p do not match the trace's {trace.params}"

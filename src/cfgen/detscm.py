@@ -16,13 +16,12 @@ whose response is the shared ``draw``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .dist import DistTable, draw, left_sum
 from .errors import InputError, ModelError
-from .nondet import CausalGraph, Cpt, NondetModel, VarSpec, World, require_roots, require_total
+from .nondet import CausalGraph, Cpt, NondetModel, Shape, VarSpec, World, assignments
 
 
 @dataclass(frozen=True)
@@ -49,61 +48,37 @@ class DetSCM:
         )
         if frozenset(v.name for v in self.endo) != frozenset(self.graph.nodes):
             raise ModelError("graph nodes do not match endogenous variables")
-        root_set = self.graph.roots
-        object.__setattr__(self, "_roots", tuple(v.name for v in self.endo if v.name in root_set))
-        object.__setattr__(
-            self, "_non_roots", tuple(v.name for v in self.endo if v.name not in root_set)
-        )
-        # sorted, as a world's ``names`` are
-        endo_names = tuple(sorted({v.name for v in self.endo}))
-        exo_names = tuple(sorted({v.name for v in self.exo}))
-        root_names = tuple(sorted(set(self._roots)))
+        # what every query checks its worlds against
+        object.__setattr__(self, "shape", Shape(self.endo, self.graph))
         noise_worlds = set(self.noise_worlds())
         if set(self.p_u.entries) != noise_worlds:
             raise ModelError("noise prior does not cover exactly the noise domain")
         if set(self.responses) != noise_worlds:
             raise ModelError("responses do not cover exactly the noise domain")
-        expected_roots = set(self.root_worlds())
-        for u, per_root in self.responses.items():
-            if u.names != exo_names:
-                raise ModelError(f"noise world over wrong variables: {u!r}")
-            if set(per_root) != expected_roots:
+        root_worlds = frozenset(self.root_worlds())
+        for per_root in self.responses.values():
+            if set(per_root) != root_worlds:
                 raise ModelError("responses missing some root assignment")
             for r, v in per_root.items():
-                if r.names != root_names:
-                    raise ModelError(f"root world over wrong variables: {r!r}")
-                if v.names != endo_names:
+                if v.names != self.shape.names:
                     raise ModelError(f"response not total: {v!r}")
                 if not v.extends(r):
                     raise ModelError("response does not restrict to the identity on roots")
-        # what every query checks its worlds against
-        object.__setattr__(self, "_names", endo_names)
-        object.__setattr__(self, "_root_names", root_names)
-        object.__setattr__(self, "_root_worlds", frozenset(expected_roots))
+        object.__setattr__(self, "_root_worlds", root_worlds)
 
     @property
     def roots(self) -> tuple[str, ...]:
-        return self._roots
+        return self.shape.roots
 
     @property
     def non_roots(self) -> tuple[str, ...]:
-        return self._non_roots
-
-    def var(self, name: str) -> VarSpec:
-        for v in self.endo:
-            if v.name == name:
-                return v
-        raise ModelError(f"unknown endogenous variable {name!r}")
+        return self.shape.non_roots
 
     def noise_worlds(self) -> list[World]:
-        combos = itertools.product(*(v.domain for v in self.exo))
-        names = [v.name for v in self.exo]
-        return [World.of(dict(zip(names, c))) for c in combos]
+        return list(assignments(self.exo))
 
     def root_worlds(self) -> list[World]:
-        root_vars = [self.var(n) for n in self.roots]
-        combos = itertools.product(*(v.domain for v in root_vars))
-        return [World.of(dict(zip(self.roots, c))) for c in combos]
+        return self.shape.root_worlds()
 
     def apply(self, u: World, r: World) -> World:
         try:
@@ -115,7 +90,7 @@ class DetSCM:
 def det_conditional(m: DetSCM, v: World, r: World | None = None) -> float:
     """Probability of observing total world ``v`` given its root values,
     with the input checks of ``joint_prob``."""
-    require_total(m._names, v)
+    m.shape.require_total(v)
     if r is None:
         r = v.restrict(m.roots)
     _require_roots(m, r)
@@ -127,7 +102,7 @@ def det_conditional(m: DetSCM, v: World, r: World | None = None) -> float:
 def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
     """Noise posterior given ``v``, pushed through the function at ``r_star``;
     ``v`` must be a total world and ``r_star`` assign exactly the roots."""
-    require_total(m._names, v)
+    m.shape.require_total(v)
     r = v.restrict(m.roots)
     _require_roots(m, r)
     _require_roots(m, r_star)
@@ -143,9 +118,9 @@ def det_counterfactual(m: DetSCM, v: World, r_star: World) -> DistTable:
 
 
 def _require_roots(m: DetSCM, r: World) -> None:
-    """``require_roots``, after one set lookup among the root assignments."""
+    """``Shape.require_roots``, after one set lookup among the root assignments."""
     if r not in m._root_worlds:
-        require_roots(m.roots, m._root_names, m.var, r)
+        m.shape.require_roots(r)
 
 
 def to_nondet_when_u_irrelevant(m: DetSCM) -> NondetModel:

@@ -32,8 +32,9 @@ import itertools
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .dist import DistTable, prob_row
 from .errors import EnumerationCapError, InputError, ModelError, read_json
@@ -70,6 +71,9 @@ class CausalGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        stray = sorted(repr(list(e)) for e in self.edges if not self.nodes.issuperset(e))
+        if stray:
+            raise ModelError(f"edge {stray[0]} names an undeclared variable")
 
     @classmethod
     def of(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "CausalGraph":
@@ -238,7 +242,8 @@ _set_values = World.__dict__["values"].__set__
 class NondetModel:
     """Finite nondeterministic causal model: variables, DAG, one CPT per non-root.
 
-    Keeps the evaluation plan (``_Plan``) its first query builds.
+    Keeps the evaluation plan (``_Plan``) its first query builds; ``shape``
+    reads it as the model's ``Shape``.
     """
 
     vars: tuple[VarSpec, ...]
@@ -250,14 +255,15 @@ class NondetModel:
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "cpts", dict(self.cpts))
 
+    @property
+    def shape(self) -> Shape:
+        return _plan_of(self)
+
     def var(self, name: str) -> VarSpec:
-        for v in self.vars:
-            if v.name == name:
-                return v
-        raise ModelError(f"unknown variable {name!r}")
+        return _plan_of(self).var(name)
 
     def domain(self, name: str) -> tuple[Hashable, ...]:
-        return self.var(name).domain
+        return _plan_of(self).var(name).domain
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -272,34 +278,66 @@ class NondetModel:
         return _plan_of(self).non_roots
 
 
-class _Plan:
-    """What every query on one model reads, worked out once.
+class Shape:
+    """A model's variables as both model kinds check worlds against them:
+    ``var_names``, ``roots`` and ``non_roots`` in declared order, ``names``
+    and ``root_names`` sorted as a world's are, and ``var`` by name."""
 
-    The shape (names, roots, non-roots, and the sorted tuples of the names
-    and of the roots that worlds are checked against), and one step per
-    variable in topological order: ``(name, cpt, parent positions, fault,
-    pick)``, where ``pick`` takes the parent values out of a walk's values.
-    ``cpt`` is None at a root; ``fault`` is raised when the walk reaches a
-    step it cannot pass. ``perm`` orders the positions by name, and
-    ``pick_sorted`` applies it, so a walk's values and ``sorted_names`` make
-    a canonical ``World``; ``sorted_names`` is ``names`` itself when the
-    graph orders exactly the model's variables. ``steps`` is None on a
-    cycle. Holds the model's tables, not the model, so there is no
-    reference cycle.
-    """
+    __slots__ = ("var_names", "names", "roots", "root_names", "non_roots", "_by_name")
 
-    __slots__ = (
-        "var_names", "names", "roots", "root_names", "non_roots", "steps", "sorted_names", "perm",
-        "pick_sorted",
-    )
-
-    def __init__(self, m: NondetModel) -> None:
-        root_set = m.graph.roots
-        self.var_names = tuple(v.name for v in m.vars)
+    def __init__(self, vars: tuple[VarSpec, ...], graph: CausalGraph) -> None:
+        root_set = graph.roots
+        self.var_names = tuple(v.name for v in vars)
         self.names = tuple(sorted(set(self.var_names)))
         self.roots = tuple(n for n in self.var_names if n in root_set)
         self.root_names = tuple(sorted(set(self.roots)))
         self.non_roots = tuple(n for n in self.var_names if n not in root_set)
+        self._by_name = {v.name: v for v in reversed(vars)}  # the first of a repeated name
+
+    def var(self, name: str) -> VarSpec:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ModelError(f"unknown variable {name!r}") from None
+
+    def root_worlds(self) -> list[World]:
+        """Every assignment to the roots, in ``itertools.product`` order."""
+        return list(assignments([self.var(n) for n in self.roots]))
+
+    def require_total(self, v: World) -> None:
+        """The evidence check: ``v`` assigns exactly the model's variables."""
+        if v.names != self.names:
+            missing = set(self.names).difference(v.names)
+            extra = set(v.names).difference(self.names)
+            raise InputError(f"world not total (missing {sorted(missing)}, extra {sorted(extra)})")
+
+    def require_roots(self, r: World) -> None:
+        """``r`` assigns exactly the roots, each a value in its domain."""
+        if r.names != self.root_names:
+            raise InputError(f"expected an assignment to exactly the roots {self.roots!r}")
+        for name in self.roots:
+            self.var(name).index(r[name])
+
+
+class _Plan(Shape):
+    """What every query on one model reads, worked out once.
+
+    The model's ``Shape``, and one step per variable in topological order:
+    ``(name, cpt, parent positions, fault, pick)``, where ``pick`` takes the
+    parent values out of a walk's values. ``cpt`` is None at a root;
+    ``fault`` is raised when the walk reaches a step it cannot pass.
+    ``perm`` orders the positions by name, and ``pick_sorted`` applies it,
+    so a walk's values and ``sorted_names`` make a canonical ``World``;
+    ``sorted_names`` is ``names`` itself when the graph orders exactly the
+    model's variables. ``steps`` is None on a cycle. Holds the model's
+    tables, not the model, so there is no reference cycle.
+    """
+
+    __slots__ = ("steps", "sorted_names", "perm", "pick_sorted")
+
+    def __init__(self, m: NondetModel) -> None:
+        super().__init__(m.vars, m.graph)
+        root_set = m.graph.roots
         try:
             order = m.graph.topological_order()
         except ModelError:
@@ -334,6 +372,28 @@ def _picker(positions: tuple[int, ...]):
     if positions == tuple(range(start, stop)):
         return itemgetter(slice(start, stop))
     return itemgetter(*positions)  # two or more positions: returns a tuple
+
+
+def assignments(
+    vars: Sequence[VarSpec], base: World | None = None, cap: int | None = None
+) -> Iterator[World]:
+    """Every world that extends ``base`` and gives each of ``vars`` a value
+    from its domain, in ``itertools.product`` order, all sharing one sorted
+    names tuple. Raises ``EnumerationCapError`` first when the product space
+    holds more than ``cap`` worlds, and ``ModelError`` when a name repeats."""
+    if cap is not None and math.prod(len(v.domain) for v in vars) > cap:
+        raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
+    head, order = ((), ()) if base is None else (base.values, base.names)
+    order += tuple(v.name for v in vars)
+    names = tuple(sorted(order))
+    if len(set(names)) < len(names):
+        raise ModelError(f"cannot assign a repeated variable name: {names!r}")
+    values = itertools.product(*(v.domain for v in vars))
+    if head:
+        values = (head + combo for combo in values)
+    if order != names:
+        values = map(_picker(tuple(order.index(n) for n in names)), values)
+    return map(partial(World._canonical, names), values)
 
 
 def _plan_of(m: NondetModel) -> _Plan:
@@ -448,35 +508,15 @@ def validate_model(m: NondetModel) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems), tuple(notes))
 
 
-def require_total(names: tuple[str, ...], v: World) -> None:
-    """The evidence check every model kind makes: ``v`` assigns exactly the
-    sorted ``names``."""
-    if v.names != names:
-        missing = set(names).difference(v.names)
-        extra = set(v.names).difference(names)
-        raise InputError(f"world not total (missing {sorted(missing)}, extra {sorted(extra)})")
-
-
-def require_roots(
-    roots: tuple[str, ...], names: tuple[str, ...], var: Callable[[str], VarSpec], r: World
-) -> None:
-    """The root-assignment check every model kind makes: ``r`` assigns exactly
-    ``roots`` (sorted: ``names``), each a value in the domain of its variable
-    ``var(name)``."""
-    if r.names != names:
-        raise InputError(f"expected an assignment to exactly the roots {roots!r}")
-    for name in roots:
-        var(name).index(r[name])
-
-
 def joint_prob(m: NondetModel, v: World, r: World) -> float:
     """Probability of the total world ``v`` conditional on its root values ``r``.
 
     The product of one table entry per non-root variable; roots contribute
     no factor because they carry no marginal.
     """
-    require_total(_plan_of(m).names, v)
-    require_roots(m.roots, _plan_of(m).root_names, m.var, r)
+    shape = _plan_of(m)
+    shape.require_total(v)
+    shape.require_roots(r)
     if not v.extends(r):
         raise InputError("world is inconsistent with the given root assignment")
     return _actual_rows(m, v)[0]
@@ -510,9 +550,10 @@ def _observed_rows(m: NondetModel, v: World) -> _Observed:
     and the actual value, whose row becomes a point mass on it. An error
     when ``v`` is not total or has zero probability; the checks are those
     of ``joint_prob``, in its order."""
-    require_total(_plan_of(m).names, v)
-    for name in _plan_of(m).roots:
-        m.var(name).index(v[name])
+    shape = _plan_of(m)
+    shape.require_total(v)
+    for name in shape.roots:
+        shape.var(name).index(v[name])
     p, observed = _actual_rows(m, v)
     if p <= 0.0:
         raise ModelError("impossible evidence: observed world has zero probability")
@@ -612,7 +653,7 @@ def counterfactual_dist(
     and equals ``evidence_update(m, v)`` walked the same way. Support only
     contains worlds extending ``r_star``.
     """
-    require_roots(m.roots, _plan_of(m).root_names, m.var, r_star)
+    _plan_of(m).require_roots(r_star)
     return DistTable(_positive_worlds(m, r_star, cap, _observed_rows(m, v)))
 
 
@@ -625,8 +666,9 @@ def counterfactual_case_prob(m: NondetModel, v: World, r_star: World, v_star: Wo
     mass; otherwise the prior table entries of the changed-parent variables
     multiply.
     """
-    require_total(_plan_of(m).names, v)
-    require_total(_plan_of(m).names, v_star)
+    shape = _plan_of(m)
+    shape.require_total(v)
+    shape.require_total(v_star)
     if not v_star.extends(r_star):
         return 0.0
     changed: list[str] = []
@@ -658,33 +700,18 @@ def counterfactual_dist_cases(
     Deliberately takes the slow route (full product space over non-root
     domains, no model rewriting) so the two evaluators stay independent.
     """
-    require_total(_plan_of(m).names, v)
-    require_roots(m.roots, _plan_of(m).root_names, m.var, r_star)
-    r = v.restrict(m.roots)
+    shape = _plan_of(m)
+    shape.require_total(v)
+    shape.require_roots(r_star)
+    r = v.restrict(shape.roots)
     if joint_prob(m, v, r) <= 0.0:
         raise ModelError("impossible evidence: observed world has zero probability")
-    non_roots = m.non_roots
-    size = 1
-    for name in non_roots:
-        size *= len(m.domain(name))
-        if size > cap:
-            raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
-    base = r_star.as_dict()
     entries: dict[World, float] = {}
-    for combo in itertools.product(*(m.domain(name) for name in non_roots)):
-        candidate = dict(base)
-        candidate.update(zip(non_roots, combo))
-        w = World.of(candidate)
+    for w in assignments([shape.var(n) for n in shape.non_roots], r_star, cap):
         p = counterfactual_case_prob(m, v, r_star, w)
         if p > 0.0:
             entries[w] = p
     return DistTable(entries)
-
-
-def _root_assignments(m: NondetModel) -> Iterator[World]:
-    domains = [m.domain(name) for name in m.roots]
-    for combo in itertools.product(*domains):
-        yield World.of(dict(zip(m.roots, combo)))
 
 
 def check_simple_semantics(
@@ -700,12 +727,11 @@ def check_simple_semantics(
     """
     max_dev = 0.0
     checked = 0
-    priors: dict[World, DistTable] = {}
-    for r in _root_assignments(m):
-        priors[r] = DistTable(_positive_worlds(m, r, cap))
-    for r in _root_assignments(m):
+    root_worlds = _plan_of(m).root_worlds()
+    priors = {r: DistTable(_positive_worlds(m, r, cap)) for r in root_worlds}
+    for r in root_worlds:
         for v, _ in priors[r].items():
-            for r_star in _root_assignments(m):
+            for r_star in root_worlds:
                 if r_star == r:
                     continue
                 cf = counterfactual_dist(m, v, r_star, cap)

@@ -31,7 +31,7 @@ from .dist import DistTable, draw, left_sum, max_abs_diff
 from .detscm import DetSCM, det_conditional, det_counterfactual, to_nondet_when_u_irrelevant
 from .detscm import BinaryCfQuery, CanonicalBinarySCM, counterfactual_bounds_binary
 from .detscm import positivity, simple_binary_answer
-from .errors import EnumerationCapError, InputError
+from .errors import InputError
 from .generators import (
     CfQuery,
     gumbel_cf_sample,
@@ -46,6 +46,7 @@ from .nondet import (
     VarSpec,
     VerificationReport,
     World,
+    assignments,
     counterfactual_dist,
     joint_prob,
 )
@@ -71,16 +72,9 @@ def enumerate_worlds(
     Walks the full product space of non-root domains (no pruning), so it is
     an independent check on the package's smarter enumerators.
     """
-    non_roots = m.non_roots
-    size = 1
-    for name in non_roots:
-        size *= len(m.domain(name))
-        if size > cap:
-            raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
-    base = r.as_dict()
+    m.shape.require_roots(r)
     out: list[tuple[World, float]] = []
-    for combo in itertools.product(*(m.domain(n) for n in non_roots)):
-        w = World.of({**base, **dict(zip(non_roots, combo))})
+    for w in assignments([m.var(n) for n in m.non_roots], r, cap):
         p = joint_prob(m, w, r)
         if p > 0.0:
             out.append((w, p))
@@ -165,10 +159,7 @@ def random_u_independent_scm(rng: random.Random) -> DetSCM:
     graph = CausalGraph.of(names, {(r, y) for r in roots for y in others})
     exo = (VarSpec("U", tuple(f"u{j}" for j in range(rng.randint(2, 4)))),)
     domains = {v.name: v.domain for v in endo}
-    root_worlds = [
-        World.of(dict(zip(roots, combo)))
-        for combo in itertools.product(*(domains[r] for r in roots))
-    ]
+    root_worlds = assignments(endo[:n_roots])
     shared = {
         r: World.of({**r.as_dict(), **{y: rng.choice(domains[y]) for y in others}})
         for r in root_worlds
@@ -208,14 +199,10 @@ def verify_det_nondet_equivalence(
     max_dev = 0.0
     instances = 0
     counterexample = None
-    endo_names = [v.name for v in m.endo]
-    endo_domains = [m.var(n).domain for n in endo_names]
+    non_roots = [m.shape.var(n) for n in m.non_roots]
     for r in m.root_worlds():
         observed = None
-        for combo in itertools.product(*endo_domains):
-            v = World.of(dict(zip(endo_names, combo)))
-            if not v.extends(r):
-                continue
+        for v in assignments(non_roots, r):
             instances += 1
             a = det_conditional(m, v, r)
             b = joint_prob(converted, v, r)

@@ -624,6 +624,12 @@ class TestRejectedModels:
                 ' "cpts": {"Y": {"parents": ["X"], "rows": {"0": "01", "1": [0.5, 0.5]}}}}',
                 "Y: row '0' must be a list of numbers",
             ),
+            (
+                "validate",
+                '{"vars": [{"name": "X", "domain": ["0", "1"]}],'
+                ' "edges": [["X", "Z"]], "cpts": {}}',
+                "edge ['X', 'Z'] names an undeclared variable",
+            ),
         ],
         ids=[
             "token_list",
@@ -635,6 +641,7 @@ class TestRejectedModels:
             "causal_negative",
             "causal_boolean",
             "causal_not_a_list",
+            "causal_undeclared_edge",
         ],
     )
     def test_faults_are_named_in_one_line(self, capsys, tmp_path, command, text, message):
@@ -998,6 +1005,45 @@ class TestTraceParams:
         code, out, _ = run([*argv, "--temperature", "0.2"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["draws"] == ["a a"]
+
+    def test_trace_replays_only_its_own_output(self, capsys, tmp_path, fixture_dir, lm3):
+        # this its trace gives "a b" at prompt "a"
+        y, trace = its_factual_run(lm3, lm3.vocab.seq(["a"]), SamplingParams(), 2)
+        assert lm3.vocab.strings(y.stripped()) == ("a", "b")
+        path = tmp_path / "trace.json"
+        path.write_text(trace_to_json(lm3, trace))
+        argv = [
+            "counterfactual", "--model", str(fixture_dir / "lm3.json"), "--prompt", "a",
+            "--cf-prompt", "b", "--method", "its", "--trace", str(path),
+            "--samples", "1", "--seed", "1",
+        ]
+        code, out, err = run([*argv, "--factual-output", "a a a"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error (config): --factual-output does not match the trace's factual output\n"
+        replayed = run(argv, capsys)
+        assert replayed[0] == EXIT_OK
+        for agreeing in ("a b", "a b </e>"):
+            code, out, _ = run([*argv, "--factual-output", agreeing], capsys)
+            assert code == EXIT_OK
+            assert json.loads(out)["draws"] == json.loads(replayed[1])["draws"]
+
+    @pytest.mark.parametrize(
+        "mode",
+        [["--exact"], ["--samples", "1", "--seed", "1"]],
+        ids=["exact", "sample"],
+    )
+    @pytest.mark.parametrize("method", ["simple", "stable"])
+    def test_only_noise_reuse_reads_a_trace(self, capsys, tmp_path, fixture_dir, method, mode):
+        argv = [
+            "counterfactual", "--model", str(fixture_dir / "lm3.json"), "--prompt", "a",
+            "--cf-prompt", "b", "--method", method, "--factual-output", "a b", *mode,
+        ]
+        assert run(argv, capsys)[0] == EXIT_OK
+        code, out, err = run([*argv, "--trace", str(tmp_path / "absent.json")], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (
+            f"error (config): {method} does not read --trace; only gumbel and its replay one\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -127,8 +127,10 @@ class TestEvidenceChecks:
         [
             ({"X": 1}, "world not total (missing ['Y'], extra [])"),
             ({"X": 1, "Y": 1, "Z": 0}, "world not total (missing [], extra ['Z'])"),
+            ({}, "world not total (missing ['X', 'Y'], extra [])"),
+            ({"Y": 1, "Z": 0}, "world not total (missing ['X'], extra ['Z'])"),
         ],
-        ids=["missing", "extra"],
+        ids=["missing", "extra", "empty", "missing_and_extra"],
     )
     def test_evidence_must_be_a_total_world(self, binary_chain, v, message):
         m = CHOICE_HI.to_detscm()
@@ -147,8 +149,10 @@ class TestEvidenceChecks:
             ({"Y": 0}, "expected an assignment to exactly the roots ('X',)"),
             ({"X": 0, "Y": 0}, "expected an assignment to exactly the roots ('X',)"),
             ({"X": 2}, "value 2 not in domain of X"),
+            ({}, "expected an assignment to exactly the roots ('X',)"),
+            ({"X": "0"}, "value '0' not in domain of X"),
         ],
-        ids=["wrong_variable", "extra_variable", "outside_domain"],
+        ids=["wrong_variable", "extra_variable", "outside_domain", "empty", "text_value"],
     )
     def test_alternative_roots_must_assign_exactly_the_roots(self, r_star, message):
         m = CHOICE_HI.to_detscm()

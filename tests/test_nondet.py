@@ -1,7 +1,8 @@
 """Core causal-model operations.
 
 Claims exercised here:
-    - validation reports cycles, bad rows, and missing tables without raising
+    - validation reports cycles, bad rows, and missing tables without raising;
+      a graph whose edge names an undeclared variable is not built
     - the joint factorizes as the product of table entries given the roots
     - evidence folding rewrites exactly the observed rows and is idempotent
     - the two counterfactual evaluators agree on every world (seeded sweep)
@@ -60,6 +61,21 @@ class TestValidate:
         rep = validate_model(NondetModel((x, y), g, {}))
         assert not rep.ok
         assert any("cycle" in p for p in rep.problems)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([("X", "Z")], "edge ['X', 'Z'] names an undeclared variable"),
+            ([("Z", "X"), ("X", "W")], "edge ['X', 'W'] names an undeclared variable"),
+        ],
+        ids=["child", "first_in_sorted_order"],
+    )
+    def test_edge_to_an_undeclared_variable(self, edges, message):
+        # rejected where the graph is built, before the cycle check could
+        # read it as a cycle or the topological order fail on it
+        with pytest.raises(ModelError) as caught:
+            CausalGraph.of(["X"], edges)
+        assert str(caught.value) == message
 
     def test_missing_row(self):
         x = VarSpec("X", ("0", "1"))

@@ -12,6 +12,12 @@ Claims exercised here:
       and with its floats, and fails past the same caps; where a malformed
       model has two faults, it reports the one its level order meets first
     - every world one walk makes shares the plan's sorted name tuple
+    - the plan is the model's ``Shape``, and a deterministic model and the
+      chance model converted from it have equal shapes
+    - ``assignments`` and every enumerator built on it (root and noise
+      worlds, the brute-force oracle, the case-form evaluator) give the
+      worlds ``World.of`` gives, in ``itertools.product`` order, all sharing
+      one names tuple per call; a product space past the cap fails first
     - the evidence checks of ``joint_prob`` and both evaluators fail with
       the same messages, byte for byte
     - a World hashes to ``hash(values)``, whatever values it holds,
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import pickle
 import weakref
 
@@ -32,23 +39,32 @@ from hypothesis import strategies as st
 from cfgen.dist import DistTable, max_abs_diff
 from cfgen.errors import CfgenError, EnumerationCapError, InputError, ModelError
 from cfgen.fixtures import asymmetric_lm, lm3_model
+from cfgen.detscm import to_nondet_when_u_irrelevant
 from cfgen.nondet import (
     DEFAULT_ENUM_CAP,
     CausalGraph,
     Cpt,
     NondetModel,
+    Shape,
     VarSpec,
     World,
     _observed_rows,
     _plan_of,
     _positive_worlds,
+    assignments,
     check_simple_semantics,
     counterfactual_dist,
     counterfactual_dist_cases,
     evidence_update,
     joint_prob,
 )
-from cfgen.oracle import random_nondet_model, random_root_world, random_world
+from cfgen.oracle import (
+    enumerate_worlds,
+    random_nondet_model,
+    random_root_world,
+    random_u_independent_scm,
+    random_world,
+)
 from cfgen.seeding import derive_seed, make_rng
 from cfgen.tokenlm import SamplingParams, TokenSeq, compile_to_nondet, seq_dist
 
@@ -184,6 +200,18 @@ def test_plan_shape_matches_graph(three_chain):
     assert len(worlds) == 4
     assert all(world.items == World.of(world.as_dict()).items for world in worlds)
     assert plan.sorted_names is plan.names
+    assert isinstance(plan, Shape) and m.shape is plan
+    assert (plan.names, plan.root_names) == (("T", "X", "Y"), ("X",))
+    assert [m.var(name) for name in ("X", "T", "Y")] == list(three_chain.vars)
+    with pytest.raises(ModelError, match="unknown variable 'Z'"):
+        m.var("Z")
+
+
+def test_a_repeated_name_finds_its_first_variable():
+    first, second = VarSpec("X", ("0", "1")), VarSpec("X", ("2",))
+    shape = Shape((first, second), CausalGraph.of(["X"], []))
+    assert shape.var("X") is first
+    assert shape.var_names == ("X", "X") and shape.names == ("X",)
 
 
 def assert_worlds_share_the_plan_names(m, v, r_star):
@@ -390,6 +418,9 @@ def test_observed_rows_errors(three_chain):
         (w(X=0, T=0, Y=0), w(T=1), "expected an assignment to exactly the roots ('X',)"),
         (w(X=0, T=0, Y=0), w(X=1, T=0), "expected an assignment to exactly the roots ('X',)"),
         (w(X=0, T=0, Y=0), w(X=2), "value '2' not in domain of X"),
+        (w(), w(X=1), "world not total (missing ['T', 'X', 'Y'], extra [])"),
+        (w(X=0, T=0, Y=0), w(), "expected an assignment to exactly the roots ('X',)"),
+        (w(X=0, T=0, Y=0), w(X=1, Z=0), "expected an assignment to exactly the roots ('X',)"),
     ],
 )
 def test_evidence_check_messages(three_chain, query, v, r, message):
@@ -437,3 +468,88 @@ def test_world_hash_is_the_value_tuple_hash(assignment):
     for name in ("names", "values", "other"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(by_of, name, ())
+
+
+# --- the one assignment enumerator -----------------------------------------------
+
+
+def product_worlds(vars_, base=World.of({})):
+    """The worlds ``assignments`` must give, one ``World.of`` each."""
+    names = [v.name for v in vars_]
+    return [
+        World.of({**base.as_dict(), **dict(zip(names, combo))})
+        for combo in itertools.product(*(v.domain for v in vars_))
+    ]
+
+
+def assert_product_worlds(got, expected, positive_only=False):
+    """``got`` is ``expected`` (or, with ``positive_only``, a subsequence of
+    it), world by world and in its order, and shares one names tuple."""
+    if positive_only:
+        kept = set(got)
+        expected = [world for world in expected if world in kept]
+    assert [world.items for world in got] == [world.items for world in expected]
+    assert got == expected
+    assert all(world.names is got[0].names for world in got)
+
+
+def test_assignments_extend_the_base_in_product_order():
+    a, b, c = VarSpec("B", (0, 1)), VarSpec("A", ("x", "y", "z")), VarSpec("D", (None,))
+    base = World.of({"C": 7, "E": 8})
+    for vars_ in [(a,), (a, b), (b, a), (a, b, c)]:
+        assert_product_worlds(list(assignments(vars_)), product_worlds(vars_))
+        assert_product_worlds(list(assignments(vars_, base)), product_worlds(vars_, base))
+    assert list(assignments(())) == [World.of({})]
+    assert list(assignments((), base)) == [base]
+    assert list(assignments((a, VarSpec("Z", ())))) == []
+
+
+def test_assignments_check_the_product_space_and_the_names_first():
+    vars_ = (VarSpec("A", (0, 1, 2)), VarSpec("B", (0, 1)))
+    assert len(list(assignments(vars_, cap=6))) == 6
+    with pytest.raises(EnumerationCapError) as caught:
+        assignments(vars_, cap=5)
+    assert str(caught.value) == "instance too large: enumeration cap 5 exceeded"
+    # a name twice, or a name of the base, would make a malformed world
+    twice = (VarSpec("A", (0,)), VarSpec("A", (1,)))
+    for vars_, base in [(twice, None), (vars_, World.of({"B": 0}))]:
+        with pytest.raises(ModelError, match="cannot assign a repeated variable name"):
+            assignments(vars_, base)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_enumerators_give_product_worlds_on_random_models(seed):
+    m, v, r_star = random_instance(seed)
+    roots = [m.var(name) for name in m.roots]
+    non_roots = [m.var(name) for name in m.non_roots]
+    assert_product_worlds(m.shape.root_worlds(), product_worlds(roots))
+    r = v.restrict(m.roots)
+    brute = [world for world, _ in enumerate_worlds(m, r)]
+    assert_product_worlds(brute, product_worlds(non_roots, r), positive_only=True)
+    cases = list(counterfactual_dist_cases(m, v, r_star).entries)
+    assert_product_worlds(cases, product_worlds(non_roots, r_star), positive_only=True)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_enumerators_give_product_worlds_on_random_deterministic_models(seed):
+    m = random_u_independent_scm(make_rng(derive_seed(3141, seed)))
+    assert_product_worlds(m.noise_worlds(), product_worlds(m.exo))
+    assert_product_worlds(m.root_worlds(), product_worlds([m.shape.var(n) for n in m.roots]))
+    converted = to_nondet_when_u_irrelevant(m)
+    for attr in ("var_names", "names", "roots", "root_names", "non_roots"):
+        assert getattr(converted.shape, attr) == getattr(m.shape, attr)
+    assert converted.shape.root_worlds() == m.root_worlds()
+
+
+def test_enumerate_worlds_checks_the_root_assignment_first(three_chain):
+    # a cap of 1 is passed by any non-root product space here; the wrong
+    # root assignment is reported all the same
+    for r, message in [
+        (w(T=0), "expected an assignment to exactly the roots ('X',)"),
+        (w(X=2), "value '2' not in domain of X"),
+    ]:
+        with pytest.raises(InputError) as caught:
+            enumerate_worlds(three_chain, r, cap=1)
+        assert str(caught.value) == message
+    with pytest.raises(EnumerationCapError):
+        enumerate_worlds(three_chain, w(X=0), cap=3)
