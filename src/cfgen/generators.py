@@ -32,7 +32,8 @@ from .dist import DistTable, argmax, draw, left_sum
 from .errors import InputError, ModelError, read_json
 from .nondet import DEFAULT_ENUM_CAP
 from .seeding import make_rng
-from .tokenlm import SamplingParams, TokenSeq, ToyLM, forward, sample_output, seq_dist, walk_law
+from .tokenlm import SamplingParams, TokenSeq, ToyLM, forward, prompt_ids, sample_output
+from .tokenlm import seq_dist, walk_law
 
 # ``random()`` returns multiples of 2**-53 below 1, so its largest value
 # 1 - 2**-53 already keeps -log(-log(u)) finite; only u = 0.0 needs a floor
@@ -138,15 +139,8 @@ def simple_cf_dist(
 # --- shared helpers -----------------------------------------------------------
 
 
-def _require_prompt(lm: ToyLM, x: TokenSeq) -> int:
-    l = x.effective_len
-    if l >= lm.k:
-        raise InputError(f"prompt length {l} must be below k={lm.k}")
-    return l
-
-
 def _require_aligned(lm: ToyLM, x: TokenSeq, x_star: TokenSeq) -> int:
-    l = _require_prompt(lm, x)
+    l = len(prompt_ids(lm, x))
     if x_star.effective_len != l:
         raise InputError(
             f"length mismatch: counterfactual prompt has {x_star.effective_len} tokens, "
@@ -240,11 +234,11 @@ def _factual_run(
 ) -> tuple[TokenSeq, FactualTrace]:
     fresh, _, pick, view = _NOISE[kind]
     rng = make_rng(seed)
-    l = _require_prompt(lm, x)
+    ctx = prompt_ids(lm, x)
     # every position draws noise, prompt and post-EMPTY positions included;
     # no draw depends on a pick, so drawing all first keeps the stream order
     entries = tuple(fresh(rng, lm.vocab.size) for _ in range(lm.k))
-    y = forward(lm, x.ids[:l], params, entries[l:], pick, view)
+    y = forward(lm, ctx, params, entries[len(ctx):], pick, view)
     return y, FactualTrace(x.stripped(), y, NoiseRecord(kind, entries), params)
 
 
@@ -255,7 +249,7 @@ def _posterior_noise(
     observed token at every later one."""
     fresh, given, _, view = _NOISE[kind]
     rng = make_rng(seed)
-    l = _require_prompt(lm, x)
+    l = len(prompt_ids(lm, x))
     yp = y.padded(lm.k)
     if not yp.extends(x):
         raise InputError("observed output must extend the prompt")

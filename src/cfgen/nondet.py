@@ -414,6 +414,10 @@ class ValidationReport:
         return {"ok": self.ok, "problems": list(self.problems), "notes": list(self.notes)}
 
 
+# the deviation every exact claim check allows
+CLAIM_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """One claim, checked exhaustively on bounded instances."""
@@ -714,9 +718,7 @@ def counterfactual_dist_cases(
     return DistTable(entries)
 
 
-def check_simple_semantics(
-    m: NondetModel, cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-12
-) -> VerificationReport:
+def check_simple_semantics(m: NondetModel, cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
     """Exhaustively test whether counterfactuals collapse to resampling.
 
     For every positive-probability total world ``v`` and every root
@@ -743,12 +745,12 @@ def check_simple_semantics(
                 for w in outcomes:
                     dev = abs(cf.prob(w) - prior.prob(w))
                     max_dev = max(max_dev, dev)
-                    if dev > tol:
+                    if dev > CLAIM_TOL:
                         return VerificationReport(
                             "simple-semantics",
                             checked,
                             max_dev,
-                            tol,
+                            CLAIM_TOL,
                             False,
                             {
                                 "v": v.as_dict(),
@@ -758,7 +760,7 @@ def check_simple_semantics(
                                 "resampled": prior.prob(w),
                             },
                         )
-    return VerificationReport("simple-semantics", checked, max_dev, tol, True)
+    return VerificationReport("simple-semantics", checked, max_dev, CLAIM_TOL, True)
 
 
 # --- JSON interchange -------------------------------------------------------

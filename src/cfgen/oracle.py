@@ -28,7 +28,8 @@ import random
 from typing import Callable, Hashable
 
 from .dist import DistTable, draw, left_sum, max_abs_diff
-from .detscm import DetSCM, det_conditional, det_counterfactual, to_nondet_when_u_irrelevant
+from .detscm import DetSCM, det_conditional, det_counterfactual, exogenize
+from .detscm import to_nondet_when_u_irrelevant
 from .detscm import BinaryCfQuery, CanonicalBinarySCM, counterfactual_bounds_binary
 from .detscm import positivity, simple_binary_answer
 from .errors import InputError
@@ -39,6 +40,7 @@ from .generators import (
     stability_check,
 )
 from .nondet import (
+    CLAIM_TOL,
     DEFAULT_ENUM_CAP,
     CausalGraph,
     Cpt,
@@ -61,7 +63,8 @@ from .tokenlm import (
     zero_temp_fn,
 )
 
-CLAIM_TOL = 1e-12
+# each later variable's chance of having each earlier one as a parent
+EDGE_PROB = 0.6
 
 
 def enumerate_worlds(
@@ -96,12 +99,7 @@ def empirical_dist(draw: Callable[[int], Hashable], n: int, seed: int) -> DistTa
 # --- random instance generators ------------------------------------------------
 
 
-def random_nondet_model(
-    rng: random.Random,
-    max_vars: int = 5,
-    max_domain: int = 4,
-    edge_prob: float = 0.6,
-) -> NondetModel:
+def random_nondet_model(rng: random.Random, max_vars: int = 5, max_domain: int = 4) -> NondetModel:
     """Random DAG with rows drawn as normalized iid uniforms (positive, generic)."""
     n = rng.randint(2, max_vars)
     names = [f"V{i}" for i in range(n)]
@@ -111,7 +109,7 @@ def random_nondet_model(
     )
     edges: set[tuple[str, str]] = set()
     for j in range(1, n):
-        parents = [names[i] for i in range(j) if rng.random() < edge_prob]
+        parents = [names[i] for i in range(j) if rng.random() < EDGE_PROB]
         for p in parents:
             edges.add((p, names[j]))
     graph = CausalGraph.of(names, edges)
@@ -190,9 +188,7 @@ def random_table_lm(rng: random.Random, vocab_size: int, k: int) -> ToyLM:
 # --- claim checks ---------------------------------------------------------------
 
 
-def verify_det_nondet_equivalence(
-    m: DetSCM, tol: float = CLAIM_TOL, cap: int = DEFAULT_ENUM_CAP
-) -> VerificationReport:
+def verify_det_nondet_equivalence(m: DetSCM) -> VerificationReport:
     """Conditional and counterfactual equality between a noise-independent
     deterministic model and its converted chance model, on all instances."""
     converted = to_nondet_when_u_irrelevant(m)  # raises if the noise matters
@@ -208,7 +204,7 @@ def verify_det_nondet_equivalence(
             b = joint_prob(converted, v, r)
             dev = abs(a - b)
             max_dev = max(max_dev, dev)
-            if dev > tol and counterexample is None:
+            if dev > CLAIM_TOL and counterexample is None:
                 counterexample = {"kind": "conditional", "v": v.as_dict(), "det": a, "nondet": b}
             if a > 0.0:
                 observed = v
@@ -217,10 +213,10 @@ def verify_det_nondet_equivalence(
         for r_star in m.root_worlds():
             instances += 1
             a_dist = det_counterfactual(m, observed, r_star)
-            b_dist = counterfactual_dist(converted, observed, r_star, cap)
+            b_dist = counterfactual_dist(converted, observed, r_star)
             dev = max_abs_diff(a_dist, b_dist)
             max_dev = max(max_dev, dev)
-            if dev > tol and counterexample is None:
+            if dev > CLAIM_TOL and counterexample is None:
                 counterexample = {
                     "kind": "counterfactual",
                     "v": observed.as_dict(),
@@ -228,55 +224,47 @@ def verify_det_nondet_equivalence(
                     "deviation": dev,
                 }
     return VerificationReport(
-        "det-to-nondet-equivalence", instances, max_dev, tol, counterexample is None,
+        "det-to-nondet-equivalence", instances, max_dev, CLAIM_TOL, counterexample is None,
         counterexample,
     )
 
 
-def sweep_det_nondet_equivalence(
-    n_models: int = 50, seed: int = 20240501, tol: float = CLAIM_TOL
-) -> VerificationReport:
+def sweep_det_nondet_equivalence(n_models: int = 50, seed: int = 20240501) -> VerificationReport:
     max_dev = 0.0
     instances = 0
     counterexample = None
     for i in range(n_models):
         rng = make_rng(derive_seed(seed, i))
-        rep = verify_det_nondet_equivalence(random_u_independent_scm(rng), tol)
+        rep = verify_det_nondet_equivalence(random_u_independent_scm(rng))
         instances += rep.instances
         max_dev = max(max_dev, rep.max_deviation)
         if not rep.passed and counterexample is None:
             counterexample = {"model_index": i, **(rep.counterexample or {})}
     return VerificationReport(
-        "det-to-nondet-equivalence", instances, max_dev, tol,
+        "det-to-nondet-equivalence", instances, max_dev, CLAIM_TOL,
         counterexample is None, counterexample,
         notes=(f"{n_models} random noise-independent models, seed {seed}",),
     )
 
 
 def verify_compiled_simple_semantics(
-    lm: ToyLM,
-    params: SamplingParams,
-    prompt_len: int,
-    tol: float = CLAIM_TOL,
-    cap: int = DEFAULT_ENUM_CAP,
-    expect_zero_one: bool = False,
+    lm: ToyLM, params: SamplingParams, prompt_len: int
 ) -> VerificationReport:
     """Compiled-model counterfactuals equal plain resampling at the new prompt.
 
     For every prompt x, every positive-probability output y, and every
     other equal-length prompt x*, the counterfactual world distribution
     projected onto the output variable must match the sequence law at x*.
+    At temperature 0 every probability must also be exactly 0 or 1.
     """
-    compiled = compile_to_nondet(lm, prompt_len, params, cap)
+    zero_one = params.temperature == 0.0
+    compiled = compile_to_nondet(lm, prompt_len, params)
     prompts = compiled.domain("X")
     t_names = [f"T{i}" for i in range(1, lm.k + 1)]
     max_dev = 0.0
     instances = 0
     counterexample = None
-    notes: list[str] = []
-    resampled: dict[TokenSeq, DistTable] = {
-        x: seq_dist(lm, x, params, cap) for x in prompts
-    }
+    resampled: dict[TokenSeq, DistTable] = {x: seq_dist(lm, x, params) for x in prompts}
     for x in prompts:
         for y, py in resampled[x].items():
             if py <= 0.0:
@@ -288,20 +276,20 @@ def verify_compiled_simple_semantics(
             for x_star in prompts:
                 if x_star == x:
                     continue
-                cf = counterfactual_dist(compiled, v, World.of({"X": x_star}), cap)
+                cf = counterfactual_dist(compiled, v, World.of({"X": x_star}))
                 marginal = cf.project(lambda w: w["Y"])
                 expected = resampled[x_star]
                 dev = max_abs_diff(marginal, expected)
                 instances += 1
                 max_dev = max(max_dev, dev)
-                if dev > tol and counterexample is None:
+                if dev > CLAIM_TOL and counterexample is None:
                     counterexample = {
                         "x": list(lm.vocab.strings(x)),
                         "y": list(y_tokens),
                         "x_star": list(lm.vocab.strings(x_star)),
                         "deviation": dev,
                     }
-                if expect_zero_one:
+                if zero_one:
                     for _, p in marginal.items():
                         if p not in (0.0, 1.0) and counterexample is None:
                             counterexample = {
@@ -309,55 +297,41 @@ def verify_compiled_simple_semantics(
                                 "x_star": list(lm.vocab.strings(x_star)),
                                 "non_binary_probability": p,
                             }
-    if expect_zero_one:
-        notes.append("probabilities constrained to exact {0, 1}")
     return VerificationReport(
-        "compiled-counterfactual-equals-resampling", instances, max_dev, tol,
-        counterexample is None, counterexample, tuple(notes),
+        "compiled-counterfactual-equals-resampling", instances, max_dev, CLAIM_TOL,
+        counterexample is None, counterexample,
+        ("probabilities constrained to exact {0, 1}",) if zero_one else (),
     )
 
 
-def verify_zero_temperature(
-    lm: ToyLM, prompt_len: int, tol: float = CLAIM_TOL, cap: int = DEFAULT_ENUM_CAP
-) -> VerificationReport:
+def verify_zero_temperature(lm: ToyLM, prompt_len: int) -> VerificationReport:
     """The greedy special case: resampling sweep with exact 0/1 probabilities,
     plus det-model equivalence for the induced prompt-to-output function."""
-    params = SamplingParams(temperature=0.0)
-    rep = verify_compiled_simple_semantics(
-        lm, params, prompt_len, tol, cap, expect_zero_one=True
-    )
+    rep = verify_compiled_simple_semantics(lm, SamplingParams(temperature=0.0), prompt_len)
     prompts = tuple(
         lm.vocab.seq(c) for c in itertools.product(lm.vocab.real_tokens, repeat=prompt_len)
     )
     outputs = {x: zero_temp_fn(lm, x) for x in prompts}
-    x_var = VarSpec("X", prompts)
-    y_var = VarSpec("Y", tuple(sorted(set(outputs.values()), key=lambda s: s.ids)))
-    graph = CausalGraph.of(["X", "Y"], [("X", "Y")])
-    exo = (VarSpec("U", ("u0", "u1")),)
-    responses = {
-        World.of({"U": u}): {
-            World.of({"X": x}): World.of({"X": x, "Y": outputs[x]}) for x in prompts
-        }
-        for u in ("u0", "u1")
-    }
-    p_u = DistTable({World.of({"U": "u0"}): 0.5, World.of({"U": "u1"}): 0.5})
-    det = DetSCM((x_var, y_var), exo, graph, responses, p_u)
-    det_rep = verify_det_nondet_equivalence(det, tol)
+    order = sorted(set(outputs.values()), key=lambda s: s.ids)
+    det = exogenize({x: DistTable.point(y) for x, y in outputs.items()}, order)
+    det_rep = verify_det_nondet_equivalence(det)
     passed = rep.passed and det_rep.passed
     return VerificationReport(
         "zero-temperature-deterministic-case",
         rep.instances + det_rep.instances,
         max(rep.max_deviation, det_rep.max_deviation),
-        tol,
+        CLAIM_TOL,
         passed,
         rep.counterexample or det_rep.counterexample,
         rep.notes,
     )
 
 
-def verify_canonical_binary(p: float = 0.3, q: float = 0.7) -> VerificationReport:
-    """The two illustrative noise priors pin the flip query to 1 and 0, the
-    identification interval is [0, 1], and the chance-model answer is q."""
+def verify_canonical_binary() -> VerificationReport:
+    """At p = 0.3, q = 0.7: the two illustrative noise priors pin the flip
+    query to 1 and 0, the identification interval is [0, 1], and the
+    chance-model answer is q."""
+    p, q = 0.3, 0.7
     query = BinaryCfQuery(y_star=0, y=1, x=1, x_star=0)
     notes: list[str] = []
     counterexample = None

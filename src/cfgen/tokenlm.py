@@ -1,8 +1,8 @@
 """Toy autoregressive token models with exact sequence distributions.
 
 A model is a finite vocabulary (index 0 reserved for the EMPTY end marker),
-a maximum length ``k``, and a next-token conditional family given either as
-a full context table or as a bigram table with a unigram fallback. User
+a maximum length ``k``, and one table of next-token rows keyed by context,
+read at the whole context or, for a bigram model, at its last token. User
 parameters reshape every next-token distribution in a fixed order:
 temperature, then top-k, then top-p. Once EMPTY has been generated it
 absorbs: all later positions are EMPTY under any parameters.
@@ -183,19 +183,19 @@ class SamplingParams:
 class ToyLM:
     """Next-token conditional family over a fixed vocabulary.
 
-    ``kind`` is "table" (context tuple -> distribution, total over every
-    reachable EMPTY-free context of length < k) or "bigram" (last token ->
-    distribution, with ``unigram`` covering the empty context). Each
-    instance holds one memoized ``StepLaw`` per ``SamplingParams`` it was
-    asked for; they are freed with the model.
+    ``table`` maps a context tuple of token strings to the model's row
+    there. A "table" model reads the row at the whole context, so it needs
+    one for every reachable EMPTY-free context of fewer than k tokens; a
+    "bigram" model reads it at the context's last token, with the row at
+    ``()`` covering the empty context. Each instance holds one memoized
+    ``StepLaw`` per ``SamplingParams`` it was asked for; they are freed
+    with the model.
     """
 
     vocab: Vocab
     k: int
     kind: str
-    table: Mapping[tuple[str, ...], DistTable] | None = None
-    bigram: Mapping[str, DistTable] | None = None
-    unigram: DistTable | None = None
+    table: Mapping[tuple[str, ...], DistTable]
     _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -203,14 +203,7 @@ class ToyLM:
             raise InputError("k must be at least 1")
         if self.kind not in ("table", "bigram"):
             raise InputError(f"unknown model kind {self.kind!r}")
-        if self.kind == "table" and self.table is None:
-            raise ModelError("table model without a table")
-        if self.kind == "bigram" and (self.bigram is None or self.unigram is None):
-            raise ModelError("bigram model needs bigram rows and a unigram fallback")
-        if self.table is not None:
-            object.__setattr__(self, "table", dict(self.table))
-        if self.bigram is not None:
-            object.__setattr__(self, "bigram", dict(self.bigram))
+        object.__setattr__(self, "table", dict(self.table))
 
     def step_law(self, params: SamplingParams) -> "StepLaw":
         """The reshaped step law under ``params``, built once per params value."""
@@ -233,18 +226,15 @@ class StepLaw:
     nothing for it.
     """
 
-    __slots__ = (
-        "params", "_tokens", "_kind", "_table", "_bigram", "_unigram", "_point", "_rows", "_logs"
-    )
+    __slots__ = ("params", "_tokens", "_table", "_last", "_point", "_rows", "_logs")
 
     def __init__(self, lm: ToyLM, params: SamplingParams) -> None:
         # copies what the rows need: holding ``lm`` would make a reference
         # cycle that keeps dropped models alive until the next collection
         self.params = params
         self._tokens = lm.vocab.tokens
-        self._kind, self._table, self._bigram, self._unigram = (
-            lm.kind, lm.table, lm.bigram, lm.unigram
-        )
+        self._table = lm.table
+        self._last = lm.kind == "bigram"  # reads the row at the last token only
         self._point = (1.0,) + (0.0,) * (len(self._tokens) - 1)
         self._rows: dict[tuple[int, ...], tuple[float, ...]] = {}
         self._logs: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {}
@@ -254,7 +244,10 @@ class StepLaw:
         if probs is None:
             if 0 in ctx:
                 return self._point
-            base = self._base(tuple(self._tokens[i] for i in ctx))
+            key = tuple(self._tokens[i] for i in (ctx[-1:] if self._last else ctx))
+            base = self._table.get(key)
+            if base is None:
+                raise ModelError(f"no row for context {' '.join(key)!r}")
             probs = _reshape([base.prob(t) for t in self._tokens], self.params)
             self._rows[ctx] = probs
         return probs
@@ -270,20 +263,6 @@ class StepLaw:
                 probs = self.row(key)
                 view = self._logs[key] = (log_row(probs), math.log(left_sum(probs)))
         return view
-
-    def _base(self, context: tuple[str, ...]) -> DistTable:
-        """The model's own row for an EMPTY-free context."""
-        if self._kind == "table":
-            row = self._table.get(context)
-            if row is None:
-                raise ModelError(f"no distribution for context {context!r}")
-            return row
-        if context:
-            row = self._bigram.get(context[-1])
-            if row is None:
-                raise ModelError(f"no bigram row for token {context[-1]!r}")
-            return row
-        return self._unigram
 
 
 def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
@@ -333,7 +312,9 @@ def _reshape(probs: list[float], params: SamplingParams) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def _prompt_ids(lm: ToyLM, x: TokenSeq) -> tuple[int, ...]:
+def prompt_ids(lm: ToyLM, x: TokenSeq) -> tuple[int, ...]:
+    """The ids of prompt ``x``, which may hold up to k tokens; at exactly k
+    no position is left to generate."""
     ids = x.ids[: x.effective_len]
     if len(ids) > lm.k:
         raise InputError(f"prompt longer than k={lm.k}")
@@ -407,13 +388,13 @@ def seq_dist(
     lm: ToyLM, x: TokenSeq, params: SamplingParams, cap: int = DEFAULT_ENUM_CAP
 ) -> DistTable:
     """Exact distribution over padded length-k outputs extending prompt ``x``."""
-    return walk_law(lm, _prompt_ids(lm, x), params, lambda i, row: enumerate(row), cap)
+    return walk_law(lm, prompt_ids(lm, x), params, lambda i, row: enumerate(row), cap)
 
 
 def sample_output(lm: ToyLM, x: TokenSeq, params: SamplingParams, seed: int) -> TokenSeq:
     """One autoregressive draw; a pure function of (model, prompt, params, seed)."""
     rng = make_rng(seed)
-    ctx = _prompt_ids(lm, x)
+    ctx = prompt_ids(lm, x)
     # the generator is private, so uniforms left over after EMPTY change nothing
     return forward(lm, ctx, params, [rng.random() for _ in range(lm.k - len(ctx))], draw)
 
@@ -424,12 +405,7 @@ def zero_temp_fn(lm: ToyLM, x: TokenSeq) -> TokenSeq:
     return sample_output(lm, x, SamplingParams(temperature=0.0), 0)
 
 
-def compile_to_nondet(
-    lm: ToyLM,
-    prompt_len: int,
-    params: SamplingParams,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> NondetModel:
+def compile_to_nondet(lm: ToyLM, prompt_len: int, params: SamplingParams) -> NondetModel:
     """Unroll the model into a causal model for prompts of length ``prompt_len``.
 
     Variables: the prompt X (root; one value per EMPTY-free length-l
@@ -444,6 +420,7 @@ def compile_to_nondet(
     n_prompts = (size - 1) ** l
     n_rows = sum(size ** (i - 1) for i in range(l + 1, lm.k + 1))
     n_rows += size**lm.k
+    cap = DEFAULT_ENUM_CAP
     if n_prompts > cap or n_rows > cap:
         raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
 
@@ -502,7 +479,8 @@ def _valid_padded_id_tuples(vocab_size: int, k: int) -> list[tuple[int, ...]]:
 #
 # Table keys join the context tokens with single spaces ("" for the empty
 # context); each row lists probabilities in vocabulary order. Bigram models
-# use {"probs": {"a": [...]}, "unigram": [...]} keyed by the last token.
+# use {"probs": {"a": [...]}, "unigram": [...]} keyed by the last token;
+# loaded, the unigram row is the table's row at the empty context.
 # Every row is one the model reads: no key names EMPTY, and a table
 # context holds fewer than k tokens. Every row the model can read is
 # there: a prompt can be any EMPTY-free context of fewer than k tokens, so
@@ -510,18 +488,11 @@ def _valid_padded_id_tuples(vocab_size: int, k: int) -> list[tuple[int, ...]]:
 
 
 def lm_to_json(lm: ToyLM) -> str:
-    payload: dict = {"vocab": list(lm.vocab.tokens), "k": lm.k, "type": lm.kind}
-    if lm.kind == "table":
-        payload["probs"] = {
-            " ".join(ctx): [row.prob(t) for t in lm.vocab.tokens]
-            for ctx, row in sorted(lm.table.items())
-        }
-    else:
-        payload["probs"] = {
-            tok: [row.prob(t) for t in lm.vocab.tokens]
-            for tok, row in sorted(lm.bigram.items())
-        }
-        payload["unigram"] = [lm.unigram.prob(t) for t in lm.vocab.tokens]
+    tokens = lm.vocab.tokens
+    probs = {" ".join(ctx): [row.prob(t) for t in tokens] for ctx, row in lm.table.items()}
+    payload = {"vocab": list(tokens), "k": lm.k, "type": lm.kind, "probs": probs}
+    if lm.kind == "bigram":
+        payload["unigram"] = probs.pop("", None)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -546,19 +517,18 @@ def _lm_from_payload(payload: dict) -> ToyLM:
     kind = payload["type"]
     if kind not in ("table", "bigram"):
         raise ModelError(f"unknown model type {kind!r}")
-    rows = {}
+    table = {}
     for key, probs in payload["probs"].items():
         # a table key is a space-joined context, a bigram key one token
-        for tok in key.split() if kind == "table" else [key]:
+        ctx = tuple(key.split()) if kind == "table" else (key,)
+        for tok in ctx:
             if tok not in vocab.tokens:
                 raise ModelError(f"row {key!r} names {tok!r}, which is not in the vocabulary")
-        rows[key] = prob_row(vocab.tokens, probs, key)
-    if kind == "table":
-        lm = ToyLM(vocab, k, kind, table={tuple(key.split()): row for key, row in rows.items()})
-    else:
-        unigram = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
-        lm = ToyLM(vocab, k, kind, bigram=rows, unigram=unigram)
-    for key in rows:
+        table[ctx] = prob_row(vocab.tokens, probs, key)
+    if kind == "bigram":
+        table[()] = prob_row(vocab.tokens, payload["unigram"], "<unigram>")
+    lm = ToyLM(vocab, k, kind, table=table)
+    for key in payload["probs"]:
         # after the checks above, so a file they reject keeps its message
         ctx = key.split() if kind == "table" else [key]
         if " ".join(ctx) != key:  # else two keys could name one context
@@ -573,14 +543,14 @@ def _lm_from_payload(payload: dict) -> ToyLM:
     if kind == "bigram":
         if k > 1:  # at k = 1 no context holds a token
             for tok in real:
-                if tok not in rows:
+                if (tok,) not in table:
                     raise ModelError(f"no row for token {tok!r}; k={k} reads a row for every token")
         return lm
     # shortest first, so a missing context is met after at most len(rows) present
     # ones; with no real token the empty context is the only one, whatever k is
     for n in range(k if real else 1):
         for ctx in itertools.product(real, repeat=n):
-            if ctx not in lm.table:
+            if ctx not in table:
                 raise ModelError(
                     f"no row for context {' '.join(ctx)!r}; k={k} reads every context "
                     f"of fewer than {k} tokens"

@@ -116,9 +116,7 @@ def test_criterion_2_compiled_equals_resampling():
 def test_criterion_3_zero_temperature_sweep():
     worst = 0.0
     for lm, l, _ in _sweep_lms():
-        rep = verify_compiled_simple_semantics(
-            lm, SamplingParams(temperature=0.0), l, expect_zero_one=True
-        )
+        rep = verify_compiled_simple_semantics(lm, SamplingParams(temperature=0.0), l)
         assert rep.passed, rep.counterexample
         worst = max(worst, rep.max_deviation)
     report(3, worst == 0.0, f"exact 0/1 probabilities, max deviation {worst!r}")
@@ -137,7 +135,7 @@ def test_criterion_4_det_nondet_equivalence():
 
 
 def test_criterion_5_canonical_binary_exact():
-    rep = verify_canonical_binary(0.3, 0.7)
+    rep = verify_canonical_binary()
     bounds = counterfactual_bounds_binary(0.3, 0.7, BinaryCfQuery(0, 1, 1, 0))
     keep_answer = simple_binary_answer(0.3, 0.7, BinaryCfQuery(1, 1, 1, 0))
     ok = (

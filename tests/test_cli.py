@@ -159,10 +159,25 @@ class TestValidate:
         assert (code, out) == (EXIT_MODEL, "")
         assert err == f"error (model): bad model JSON structure: {message}\n"
 
-    def test_token_model_is_not_a_causal_model(self, capsys, fixture_dir):
-        code, _, err = run(["validate", "--model", str(fixture_dir / "lm3.json")], capsys)
-        assert code == EXIT_MODEL
-        assert err == "error (model): bad model JSON structure: missing key 'vars'\n"
+    def test_token_model_goes_through_its_loader(self, capsys, fixture_dir):
+        code, out, err = run(["validate", "--model", str(fixture_dir / "lm3.json")], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {
+            "ok": True, "problems": [], "notes": ["token model: type table, k=3, 3 tokens, 7 rows"]
+        }
+
+    def test_bigram_rows_count_the_empty_context(self, capsys, fixture_dir, tmp_path):
+        bigram = {"type": "bigram", "probs": _BIGRAM_ROWS, "unigram": [0, 0.6, 0.4]}
+        path = _token_model_with(fixture_dir, tmp_path, **bigram)
+        code, out, _ = run(["validate", "--model", path], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["notes"] == ["token model: type bigram, k=3, 3 tokens, 3 rows"]
+
+    def test_malformed_token_model_gets_the_loader_line(self, capsys, fixture_dir, tmp_path):
+        path = _token_model_with(fixture_dir, tmp_path, probs=_without(_LM3_PROBS, "b a"))
+        code, out, err = run(["validate", "--model", path], capsys)
+        assert (code, out) == (EXIT_MODEL, "")
+        assert err == f"error (model): no row for context 'b a'; {_EVERY_CONTEXT}\n"
 
 
 class TestCounterfactual:
@@ -885,6 +900,55 @@ class TestCompare:
 
 
 LM3_QUERY = ["--prompt", "a", "--cf-prompt", "b", "--factual-output", "a a"]
+
+
+class TestPromptOfKTokens:
+    """A prompt of k tokens leaves no position to generate, so every method
+    answers the counterfactual prompt itself; one of k + 1 tokens is refused.
+    lm3 has k = 3."""
+
+    MODES = {
+        "simple/exact": ["--method", "simple", "--exact"],
+        "simple/sample": ["--method", "simple", "--samples", "5", "--seed", "1"],
+        "stable/exact": ["--method", "stable", "--exact"],
+        "stable/sample": ["--method", "stable", "--samples", "5", "--seed", "1"],
+        "gumbel/sample": ["--method", "gumbel", "--samples", "5", "--seed", "1"],
+        "its/sample": ["--method", "its", "--samples", "5", "--seed", "1"],
+    }
+
+    @staticmethod
+    def argv(fixture_dir, command, n, *flags):
+        x, x_star = " ".join(["a"] * n), " ".join(["b"] * n)
+        return [
+            command, "--model", str(fixture_dir / "lm3.json"), "--prompt", x,
+            "--cf-prompt", x_star, "--factual-output", x, *flags,
+        ]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_counterfactual_is_the_point_mass_on_x_star(self, capsys, fixture_dir, mode):
+        argv = self.argv(fixture_dir, "counterfactual", 3, *self.MODES[mode])
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["dist" if mode.endswith("exact") else "empirical"] == {"b b b": 1.0}
+
+    def test_compare_finds_every_method_equal(self, capsys, fixture_dir):
+        argv = self.argv(fixture_dir, "compare", 3, "--samples", "5", "--seed", "1")
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert set(payload["tvd"].values()) == {0.0}
+        assert all(d == {"b b b": 1.0} for d in payload["dists"].values())
+
+    @pytest.mark.parametrize("mode", [*MODES, "compare"])
+    def test_one_token_more_is_refused_in_one_line(self, capsys, fixture_dir, mode):
+        if mode == "compare":
+            argv = self.argv(fixture_dir, "compare", 4, "--samples", "5", "--seed", "1")
+        else:
+            argv = self.argv(fixture_dir, "counterfactual", 4, *self.MODES[mode])
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error (config): ") and err.count("\n") == 1
 
 
 class TestTruncationFlags:

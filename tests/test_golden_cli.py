@@ -84,6 +84,8 @@ def cases() -> dict[str, list[str]]:
     out["validate/example1"] = ["validate", "--model", "example1_nondet.json"]
     out["verify/example1"] = ["verify", "--suite", "example1"]
     out["verify/corollary"] = ["verify", "--suite", "corollary"]
+    out["verify/all"] = ["verify", "--suite", "all"]
+    out["verify/all/seed7"] = ["verify", "--suite", "all", "--seed", "7"]
     return out
 
 

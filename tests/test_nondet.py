@@ -284,8 +284,8 @@ class TestSimpleSemantics:
 
     def test_report_is_the_shared_verification_report(self, binary_chain):
         # two positive worlds per root value, one alternative root value each
-        rep = check_simple_semantics(binary_chain, tol=1e-10)
-        assert rep == VerificationReport("simple-semantics", 4, 0.0, 1e-10, True)
+        rep = check_simple_semantics(binary_chain)
+        assert rep == VerificationReport("simple-semantics", 4, 0.0, 1e-12, True)
         assert set(rep.to_dict()) == {
             "claim", "instances", "max_deviation", "tolerance", "passed", "counterexample",
             "notes",

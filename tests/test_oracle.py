@@ -141,11 +141,11 @@ class TestClaims:
             vocab,
             3,
             "bigram",
-            bigram={
-                "a": DistTable({"</e>": 0.3, "a": 0.2, "b": 0.5}),
-                "b": DistTable({"</e>": 0.1, "a": 0.7, "b": 0.2}),
+            table={
+                (): DistTable({"</e>": 0.0, "a": 0.5, "b": 0.5}),
+                ("a",): DistTable({"</e>": 0.3, "a": 0.2, "b": 0.5}),
+                ("b",): DistTable({"</e>": 0.1, "a": 0.7, "b": 0.2}),
             },
-            unigram=DistTable({"</e>": 0.0, "a": 0.5, "b": 0.5}),
         )
         rep = verify_compiled_simple_semantics(lm, SamplingParams(), 1)
         assert rep.passed and rep.instances > 0

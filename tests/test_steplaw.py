@@ -8,11 +8,14 @@
 - The memo stores probabilities only, sharing the model's own floats at
   identity params, and never keeps a dropped model alive: reference
   counting alone frees it.
+- A bigram model answers bit for bit as the table model holding its last
+  token's row at every context; a missing row is named when it is read.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import os
 import pickle
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import cfgen
-from cfgen.dist import argmax, draw, log_row
+from cfgen.dist import DistTable, argmax, draw, left_sum, log_row
 from cfgen.errors import InputError, ModelError
 from cfgen.fixtures import asymmetric_lm, lm3_model
 from cfgen.generators import (
@@ -38,7 +41,7 @@ from cfgen.generators import (
 )
 from cfgen.oracle import random_table_lm
 from cfgen.seeding import make_rng
-from cfgen.tokenlm import SamplingParams, sample_output, seq_dist
+from cfgen.tokenlm import SamplingParams, TokenSeq, ToyLM, Vocab, sample_output, seq_dist
 
 PARAMS = (
     SamplingParams(),
@@ -176,3 +179,52 @@ class TestMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _random_bigram(rng, vocab_size, k):
+    """A bigram model whose rows (the empty context's included) are
+    normalized iid uniforms, so every row has mass on EMPTY."""
+    vocab = Vocab(("</e>",) + tuple("abcd"[: vocab_size - 1]))
+
+    def row():
+        weights = [rng.random() + 1e-9 for _ in vocab.tokens]
+        z = left_sum(weights)
+        return DistTable({t: w / z for t, w in zip(vocab.tokens, weights)})
+
+    table = {(): row(), **{(t,): row() for t in vocab.real_tokens}}
+    return ToyLM(vocab, k, "bigram", table=table)
+
+
+class TestRowTable:
+    """One row table for both kinds: a bigram model reads the row at the
+    context's last token, a table model at the whole context."""
+
+    def test_bigram_model_answers_as_its_unrolled_table(self):
+        for i in range(6):
+            rng = make_rng(500 + i)
+            bigram = _random_bigram(rng, rng.randint(3, 5), rng.randint(2, 4))
+            vocab, k = bigram.vocab, bigram.k
+            # every context of fewer than k tokens, mapped to its last token's row
+            unrolled = {
+                ctx: bigram.table[ctx[-1:]]
+                for n in range(k)
+                for ctx in itertools.product(vocab.real_tokens, repeat=n)
+            }
+            table = ToyLM(vocab, k, "table", table=unrolled)
+            x, x_star = vocab.seq(["a"]), vocab.seq(["b"])
+            assert _answers(bigram, x, x_star) == _answers(table, x, x_star)
+            for params in PARAMS:
+                empty = TokenSeq(())
+                assert seq_dist(bigram, empty, params) == seq_dist(table, empty, params)
+
+    def test_a_missing_row_is_named_when_it_is_read(self):
+        lm3 = lm3_model()
+        vocab, a, b = lm3.vocab, lm3.vocab.seq(["a"]), lm3.vocab.seq(["b"])
+        rows = {ctx: row for ctx, row in lm3.table.items() if ctx != ("b", "a")}
+        table = ToyLM(vocab, 3, "table", table=rows)
+        assert seq_dist(table, a, SamplingParams()).total == pytest.approx(1.0)
+        with pytest.raises(ModelError, match=r"^no row for context 'b a'$"):
+            seq_dist(table, b, SamplingParams())
+        bigram = ToyLM(vocab, 3, "bigram", table={(): lm3.table[()], ("a",): lm3.table[("a",)]})
+        with pytest.raises(ModelError, match=r"^no row for context 'b'$"):
+            seq_dist(bigram, a, SamplingParams())

@@ -15,7 +15,9 @@ Claims:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import pickle
 
@@ -297,13 +299,32 @@ class TestLmJson:
             vocab,
             3,
             "bigram",
-            bigram={"a": row, "b": DistTable({"</e>": 0.5, "a": 0.25, "b": 0.25})},
-            unigram=DistTable({"</e>": 0.0, "a": 0.5, "b": 0.5}),
+            table={
+                (): DistTable({"</e>": 0.0, "a": 0.5, "b": 0.5}),
+                ("a",): row,
+                ("b",): DistTable({"</e>": 0.5, "a": 0.25, "b": 0.25}),
+            },
         )
         assert lm_from_json(lm_to_json(lm)) == lm
-        # bigram backoff: empty context uses the unigram row
+        # the empty context reads the row at (), the file's unigram row
         d = next_row(lm, (), SamplingParams())
         assert d["a"] == 0.5
+
+
+    def test_bigram_file_writes_back_its_bytes(self):
+        # the unigram row is kept at the empty context and written back from it
+        text = json.dumps({
+            "vocab": ["</e>", "a", "b"], "k": 3, "type": "bigram",
+            "probs": {"b": [0.5, 0.25, 0.25], "a": [0.2, 0.5, 0.3]},
+            "unigram": [0.1, 0.6, 0.3],
+        })
+        lm = lm_from_json(text)
+        assert lm.table[()] == DistTable({"</e>": 0.1, "a": 0.6, "b": 0.3})
+        assert sorted(lm.table) == [(), ("a",), ("b",)]
+        out = lm_to_json(lm)
+        assert json.loads(out)["unigram"] == [0.1, 0.6, 0.3]
+        digest = "4b1903a128f81deab4b6bd4be1a466e7d30afa342ea777e79be73a35d9fcd159"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
