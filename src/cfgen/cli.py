@@ -97,9 +97,16 @@ def _parse_seq(lm: ToyLM, text: str, what: str) -> TokenSeq:
     return seq
 
 
-def _parse_output(lm: ToyLM, text: str) -> TokenSeq:
-    tokens = text.split()
-    return lm.vocab.seq(tokens).padded(lm.k)
+def _parse_output(lm: ToyLM, text: str, x: TokenSeq, x_star: TokenSeq) -> TokenSeq:
+    """``--factual-output`` in padded form. One longer than k is refused
+    with a line naming it and each of ``--prompt`` (``x``) and
+    ``--cf-prompt`` (``x_star``) that is longer too."""
+    y = lm.vocab.seq(text.split())
+    if y.effective_len > lm.k:
+        flags = (("--prompt", x), ("--cf-prompt", x_star), ("--factual-output", y))
+        long = [f"{flag} has {s.effective_len}" for flag, s in flags if s.effective_len > lm.k]
+        raise InputError(f"more than k={lm.k} tokens: {', '.join(long)}")
+    return y.padded(lm.k)
 
 
 def _render_seq(lm: ToyLM, seq: TokenSeq) -> str:
@@ -204,7 +211,7 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
     lm = _load_lm(args.model)
     x = _parse_seq(lm, args.prompt, "--prompt")
     x_star = _parse_seq(lm, args.cf_prompt, "--cf-prompt")
-    y = None if args.factual_output is None else _parse_output(lm, args.factual_output)
+    y = None if args.factual_output is None else _parse_output(lm, args.factual_output, x, x_star)
     q = CfQuery(x, x if y is None else y, x_star)
 
     payload: dict = {
@@ -341,7 +348,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     x_star = _parse_seq(lm, args.cf_prompt, "--cf-prompt")
     if args.factual_output is None:
         raise InputError("compare needs --factual-output")
-    y = _parse_output(lm, args.factual_output)
+    y = _parse_output(lm, args.factual_output, x, x_star)
     q = CfQuery(x, y, x_star)
     n = args.samples
 

@@ -357,9 +357,16 @@ def _barred(factual: Sequence[float], cf: Sequence[float], obs: int) -> set[int]
 def _stable_step(
     factual: Sequence[float], cf: Sequence[float], obs: int
 ) -> list[tuple[int, float]]:
-    """The counterfactual row restricted to the unbarred indices, renormalized."""
-    barred = _barred(factual, cf, obs)
-    kept = [(t, p) for t, p in enumerate(cf) if p > 0.0 and t not in barred]
+    """The counterfactual row restricted to the unbarred indices, renormalized.
+
+    The kept indices are ``_barred``'s complement, found in the same pass
+    that reads the row."""
+    r_obs = _ratio(cf[obs], factual[obs])
+    kept = [
+        (t, p)
+        for t, p in enumerate(cf)
+        if p > 0.0 and (t == obs or _ratio(p, factual[t]) > r_obs)
+    ]
     mass = left_sum(p for _, p in kept)
     # Some mass is always left. ``obs`` is never in its own barred set, so if
     # cf[obs] > 0 it is kept. If not, its ratio is 0, while every index with

@@ -98,6 +98,16 @@ class TokenSeq:
                 raise InputError("non-EMPTY token after EMPTY: sequence not in padded form")
         object.__setattr__(self, "_hash", hash((ids,)))
 
+    @classmethod
+    def _unchecked(cls, ids: tuple[int, ...]) -> "TokenSeq":
+        """``TokenSeq(ids)`` without the padded-form check, for an id tuple
+        its caller built in padded form; ``walk_law`` alone calls it, and
+        every input edge keeps the check."""
+        seq = object.__new__(cls)
+        _set_ids(seq, ids)
+        _set_hash(seq, hash((ids,)))
+        return seq
+
     @property
     def effective_len(self) -> int:
         return self.ids.index(0) if 0 in self.ids else len(self.ids)
@@ -136,6 +146,10 @@ class TokenSeq:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.ids == other.ids
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ cannot refuse
+_set_ids, _set_hash = TokenSeq.ids.__set__, TokenSeq._hash.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,11 +258,13 @@ class StepLaw:
         if probs is None:
             if 0 in ctx:
                 return self._point
-            key = tuple(self._tokens[i] for i in (ctx[-1:] if self._last else ctx))
+            tokens = self._tokens
+            key = tuple([tokens[i] for i in (ctx[-1:] if self._last else ctx)])
             base = self._table.get(key)
             if base is None:
                 raise ModelError(f"no row for context {' '.join(key)!r}")
-            probs = _reshape([base.prob(t) for t in self._tokens], self.params)
+            get = base.entries.get
+            probs = _reshape([get(t, 0.0) for t in tokens], self.params)
             self._rows[ctx] = probs
         return probs
 
@@ -361,24 +377,31 @@ def walk_law(
     ``ctx``, where position ``i`` (0-based) picks token ``t`` with the
     probability ``p`` of each pair in ``step(i, row)``, ``row`` being the
     reshaped row at the context built so far; EMPTY or length k ends an
-    outcome. The cap bounds the V^(k - len(ctx)) tree up front."""
+    outcome. The cap bounds the V^(k - len(ctx)) tree up front.
+
+    Outcomes are stored from the parent's loop, in depth-first order, and
+    built without the padded-form check: the walk only appends real tokens
+    to an EMPTY-free context, then pads with EMPTY."""
     k = lm.k
     if lm.vocab.size ** (k - len(ctx)) > cap:
         raise EnumerationCapError(f"instance too large: enumeration cap {cap} exceeded")
+    if len(ctx) == k:  # no position left to generate
+        return DistTable({TokenSeq(ctx): 1.0})
     row = lm.step_law(params).row
+    seq = TokenSeq._unchecked
     entries: dict[TokenSeq, float] = {}
 
     def recurse(ctx: tuple[int, ...], prob: float) -> None:
-        if len(ctx) == k:
-            entries[TokenSeq(ctx)] = prob
-            return
-        for t, p in step(len(ctx), row(ctx)):
+        n = len(ctx)
+        for t, p in step(n, row(ctx)):
             if p <= 0.0:
                 continue
-            if t:
-                recurse(ctx + (t,), prob * p)
+            if not t:
+                entries[seq(ctx + (0,) * (k - n))] = prob * p
+            elif n == k - 1:
+                entries[seq(ctx + (t,))] = prob * p
             else:
-                entries[output_seq(ctx, k)] = prob * p
+                recurse(ctx + (t,), prob * p)
 
     recurse(ctx, 1.0)
     return DistTable(entries)
@@ -492,7 +515,9 @@ def lm_to_json(lm: ToyLM) -> str:
     probs = {" ".join(ctx): [row.prob(t) for t in tokens] for ctx, row in lm.table.items()}
     payload = {"vocab": list(tokens), "k": lm.k, "type": lm.kind, "probs": probs}
     if lm.kind == "bigram":
-        payload["unigram"] = probs.pop("", None)
+        if "" not in probs:  # a bigram file must carry it
+            raise ModelError("bigram model has no unigram row (the row at context ()) to write")
+        payload["unigram"] = probs.pop("")
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -949,6 +949,21 @@ class TestPromptOfKTokens:
         code, out, err = run(argv, capsys)
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.startswith("error (config): ") and err.count("\n") == 1
+        # every flag argv sets to k + 1 tokens is named: both prompts and
+        # the factual output, which extends the factual prompt
+        for flag in ("--prompt", "--cf-prompt", "--factual-output"):
+            assert f"{flag} has 4" in err
+
+    @pytest.mark.parametrize("command", ["counterfactual", "compare"])
+    def test_a_long_factual_output_alone_is_named_alone(self, capsys, fixture_dir, command):
+        argv = [
+            command, "--model", str(fixture_dir / "lm3.json"), "--prompt", "a",
+            "--cf-prompt", "b", "--factual-output", "a a a a", "--seed", "1",
+            *(["--method", "stable", "--exact"] if command == "counterfactual" else []),
+        ]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error (config): more than k=3 tokens: --factual-output has 4\n"
 
 
 class TestTruncationFlags:

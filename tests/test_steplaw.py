@@ -10,6 +10,9 @@
   counting alone frees it.
 - A bigram model answers bit for bit as the table model holding its last
   token's row at every context; a missing row is named when it is read.
+- The exact-law walk, which stores leaves from the parent's loop and builds
+  them unchecked, gives the recursive reference walk's laws bit for bit and
+  in the same order, with keys equal to checked sequences.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from cfgen.errors import InputError, ModelError
 from cfgen.fixtures import asymmetric_lm, lm3_model
 from cfgen.generators import (
     CfQuery,
+    _barred,
+    _stable_step,
     gumbel_cf_sample,
     gumbel_posterior_noise,
     its_cf_sample,
@@ -41,7 +46,16 @@ from cfgen.generators import (
 )
 from cfgen.oracle import random_table_lm
 from cfgen.seeding import make_rng
-from cfgen.tokenlm import SamplingParams, TokenSeq, ToyLM, Vocab, sample_output, seq_dist
+from cfgen.tokenlm import (
+    SamplingParams,
+    TokenSeq,
+    ToyLM,
+    Vocab,
+    output_seq,
+    prompt_ids,
+    sample_output,
+    seq_dist,
+)
 
 PARAMS = (
     SamplingParams(),
@@ -184,7 +198,7 @@ class TestMemo:
 def _random_bigram(rng, vocab_size, k):
     """A bigram model whose rows (the empty context's included) are
     normalized iid uniforms, so every row has mass on EMPTY."""
-    vocab = Vocab(("</e>",) + tuple("abcd"[: vocab_size - 1]))
+    vocab = Vocab(("</e>",) + tuple("abcdefghij"[: vocab_size - 1]))
 
     def row():
         weights = [rng.random() + 1e-9 for _ in vocab.tokens]
@@ -228,3 +242,106 @@ class TestRowTable:
         bigram = ToyLM(vocab, 3, "bigram", table={(): lm3.table[()], ("a",): lm3.table[("a",)]})
         with pytest.raises(ModelError, match=r"^no row for context 'b'$"):
             seq_dist(bigram, a, SamplingParams())
+
+
+# --- the exact-law walk against its recursive reference ------------------------
+
+
+def reference_walk(lm, ctx, params, step):
+    """The recursive walk that stored each leaf in a call of its own and
+    built it with the checked constructor, kept here as the reference."""
+    k = lm.k
+    row = lm.step_law(params).row
+    entries = {}
+
+    def recurse(ctx, prob):
+        if len(ctx) == k:
+            entries[TokenSeq(ctx)] = prob
+            return
+        for t, p in step(len(ctx), row(ctx)):
+            if p <= 0.0:
+                continue
+            if t:
+                recurse(ctx + (t,), prob * p)
+            else:
+                entries[output_seq(ctx, k)] = prob * p
+
+    recurse(ctx, 1.0)
+    return DistTable(entries)
+
+
+def reference_stable_step(factual, cf, obs):
+    """The stable step as it was: the row minus ``_barred``'s set."""
+    barred = _barred(factual, cf, obs)
+    kept = [(t, p) for t, p in enumerate(cf) if p > 0.0 and t not in barred]
+    mass = left_sum(p for _, p in kept)
+    return [(t, p / mass) for t, p in kept]
+
+
+def reference_stable(lm, q, params):
+    y = q.y.padded(lm.k).ids
+    row = lm.step_law(params).row
+    factual = [row(y[:i]) for i in range(lm.k)]
+    step = lambda i, cf: reference_stable_step(factual[i], cf, y[i])  # noqa: E731
+    return reference_walk(lm, q.x_star.ids, params, step)
+
+
+WALK_PARAMS = (
+    SamplingParams(),
+    SamplingParams(temperature=0.5),
+    SamplingParams(top_k=3),
+    SamplingParams(top_p=0.9),
+    SamplingParams(temperature=0.0),
+)
+
+
+def _walk_models():
+    for size in range(3, 7):
+        for k in range(1, 5):
+            rng = make_rng(600 + 10 * size + k)
+            yield random_table_lm(rng, size, k)
+            yield _random_bigram(rng, size, k)
+
+
+def assert_same_law(got, want):
+    """Floats and entry order both match, and every key is the checked
+    sequence of its ids, hashing alike."""
+    assert list(got.entries.items()) == list(want.entries.items())
+    for key in got.entries:
+        checked = TokenSeq(key.ids)
+        assert type(key) is TokenSeq
+        assert key == checked and hash(key) == hash(checked) == key._hash
+
+
+class TestWalkAgainstReference:
+    @pytest.mark.parametrize("params", WALK_PARAMS, ids=["t1", "t0_5", "topk3", "topp0_9", "t0"])
+    def test_laws_match_the_recursive_walk(self, params):
+        for lm in _walk_models():
+            rng = make_rng(700 + lm.vocab.size * lm.k)
+            real = range(1, lm.vocab.size)
+            for l in range(lm.k + 1):
+                x = TokenSeq(tuple(rng.choice(real) for _ in range(l)))
+                x_star = TokenSeq(tuple(rng.choice(real) for _ in range(l)))
+                ctx = prompt_ids(lm, x_star)
+                want = reference_walk(lm, ctx, params, lambda i, row: enumerate(row))
+                assert_same_law(seq_dist(lm, x_star, params), want)
+                for seed in range(2):
+                    q = CfQuery(x, sample_output(lm, x, params, seed), x_star)
+                    assert_same_law(stable_cf_dist(lm, q, params), reference_stable(lm, q, params))
+
+    def test_a_prompt_of_k_tokens_is_its_own_point_mass(self):
+        lm = lm3_model()
+        x = lm.vocab.seq(["a", "b", "a"])
+        law = seq_dist(lm, x, SamplingParams())
+        assert list(law.entries.items()) == [(x, 1.0)]
+
+    def test_stable_step_keeps_the_complement_of_the_barred_set(self):
+        rng = make_rng(800)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            # zeros on both sides, so the 0 and +inf ratio conventions are met
+            f = [rng.choice([0.0, rng.random()]) for _ in range(n)]
+            c = [rng.choice([0.0, rng.random()]) for _ in range(n)]
+            c[rng.randrange(n)] = rng.random() + 1e-9
+            obs = rng.randrange(n)
+            assert _stable_step(f, c, obs) == reference_stable_step(f, c, obs)

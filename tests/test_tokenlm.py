@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgen.dist import DistTable, max_abs_diff, tvd
-from cfgen.errors import EnumerationCapError, InputError
+from cfgen.errors import EnumerationCapError, InputError, ModelError
 from cfgen.nondet import World, check_simple_semantics, joint_prob, validate_model
 from cfgen.oracle import empirical_dist, random_table_lm
 from cfgen.seeding import make_rng
@@ -325,6 +325,15 @@ class TestLmJson:
         assert json.loads(out)["unigram"] == [0.1, 0.6, 0.3]
         digest = "4b1903a128f81deab4b6bd4be1a466e7d30afa342ea777e79be73a35d9fcd159"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_bigram_model_without_unigram_row_is_not_written(self):
+        # the file would carry "unigram": null, which lm_from_json rejects
+        vocab = Vocab(("</e>", "a", "b"))
+        row = DistTable({"</e>": 0.2, "a": 0.4, "b": 0.4})
+        lm = ToyLM(vocab, 3, "bigram", table={("a",): row, ("b",): row})
+        with pytest.raises(ModelError, match=r"^bigram model has no unigram row") as err:
+            lm_to_json(lm)
+        assert "\n" not in str(err.value)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
